@@ -14,9 +14,9 @@ Environment knobs:
   (raise for higher-fidelity, slower runs; lower for smoke tests).
 * ``REPRO_BENCH_WORKERS`` — process-pool width for prefetched sweeps
   (default: one worker per CPU; ``1`` forces inline execution).
-* ``REPRO_BENCH_ENGINE``  — simulation engine: ``fast`` (default),
-  ``event``, or ``naive`` (``repro.core.ENGINES``); anything else is
-  rejected at import so a typo cannot silently fall back.
+* ``REPRO_BENCH_ENGINE``  — simulation engine: ``fast`` (default) or
+  ``naive`` (``repro.core.ENGINES``); anything else is rejected at
+  import so a typo cannot silently fall back.
 * ``REPRO_BENCH_APPS``    — comma-separated app filter (e.g.
   ``bfs,spmm``) applied to ``ALL_APPS``/``REPRESENTATIVE``.
 * ``REPRO_BENCH_INPUTS``  — keep only the first N inputs per app.

@@ -76,7 +76,7 @@ from repro.frontend import FRONTEND_KERNELS, get_frontend
 from repro.harness import (SweepPoint, format_table, run_experiment,
                            run_sweep, speedup_table)
 from repro.harness.report import bar_chart
-from repro.harness.run import APP_INPUTS, SYSTEMS
+from repro.harness.run import APP_INPUTS, SYSTEMS, check_scale_seed
 from repro.stats.manifest import (build_manifest, load_manifests,
                                   summarize_manifests)
 from repro.stats.telemetry import (EventBus, JsonlSink, PeriodicSampler,
@@ -84,13 +84,27 @@ from repro.stats.telemetry import (EventBus, JsonlSink, PeriodicSampler,
 from repro.stats.trace import ActivationTracer
 
 
+def _checked(convert, field: str):
+    """argparse type: ``convert`` the text, then apply
+    :func:`check_scale_seed` to it as ``field`` (exit 2 on failure)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            check_scale_seed(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("app", choices=sorted(APP_INPUTS))
     parser.add_argument("input", metavar="INPUT",
                         help="input code (see `inputs`)")
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=_checked(float, "scale"),
+                        default=None,
                         help="input scale factor (default: per-input)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_checked(int, "seed"), default=1)
     parser.add_argument("--engine", choices=ENGINES, default="fast",
                         help="simulation loop: fast (skips blocked spans, "
                              "default) or naive (per-cycle reference)")
@@ -746,10 +760,11 @@ def main(argv=None) -> int:
                         default="fifer")
     p_lint.add_argument("--variant", choices=("decoupled", "merged"),
                         default="decoupled")
-    p_lint.add_argument("--scale", type=float, default=None,
+    p_lint.add_argument("--scale", type=_checked(float, "scale"),
+                        default=None,
                         help="input scale (default: small; the pipeline "
                              "topology does not depend on it)")
-    p_lint.add_argument("--seed", type=int, default=1)
+    p_lint.add_argument("--seed", type=_checked(int, "seed"), default=1)
     p_lint.add_argument("--json", action="store_true",
                         help="emit machine-readable findings and the "
                              "deadlock-freedom certificate")

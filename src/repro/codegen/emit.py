@@ -24,8 +24,8 @@ Suspension is explicit: the generated function is a state machine over
 a small program counter plus loop counters kept in ``stage.cg``; a
 blocked or budget-exhausted request saves the pc and sets
 ``stage.pending`` to the exact request tuple the interpreter would
-have left there, so schedulers, deadlock reports, and the event
-engine's wake lists observe identical state.
+have left there, so schedulers, deadlock reports, and quiescence
+checks observe identical state.
 
 Source text is a pure function of the :class:`StageShape` — it never
 embeds queue names, shard ids, or addresses (those bind at
@@ -43,7 +43,7 @@ from repro.cache.content import sha256_text
 # Bump when the emitted code changes in any way that should invalidate
 # cached sources independently of the surrounding package (the on-disk
 # artifact cache is additionally namespaced by code_version()).
-CODEGEN_VERSION = "2"
+CODEGEN_VERSION = "3"
 
 ROLES = ("s0", "s1", "s2", "s3")
 
@@ -149,8 +149,8 @@ def _deq_site(indent: int, q: str, pc: int, pending: str, extra=()) -> str:
     PE._try_perform's "deq" arm (StageInstance.io_cost open-coded
     against the bind-time constants ctl_inc / inv_r); the token
     transfer itself is Queue.deq verbatim — occupancy, credit refund,
-    probe, on_event — minus only the emptiness re-raise the gate
-    already rules out.
+    probe — minus only the emptiness re-raise the gate already rules
+    out.
     """
     pad = _pad(indent)
     return "\n".join([
@@ -166,9 +166,6 @@ def _deq_site(indent: int, q: str, pc: int, pending: str, extra=()) -> str:
         f'{pad}if qp is not None and "queue.deq" in qp.bus.wants:',
         f'{pad}    qp.emit("queue.deq", queue={q.upper()}_NAME, words=tw,',
         f"{pad}            occupancy=q_{q}._occupancy_words)",
-        f"{pad}ev = q_{q}.on_event",
-        f"{pad}if ev is not None:",
-        f"{pad}    ev(q_{q}, False)",
         # -- io_cost + counters (PE._try_perform "deq") --
         f"{pad}if token.is_control:",
         f"{pad}    top = (wd if wd >= we else we) + ctl_inc",
@@ -198,7 +195,7 @@ def _enq_site(indent: int, q: str, value: str, control: bool,
     verbatim — a pure occupancy comparison; credited queues route
     through the can_enq method so the credit_stall probe fires
     identically. The transfer mirrors Queue.enq (credit debit, token
-    append, occupancy, total_enqueued, probe, on_event) minus only the
+    append, occupancy, total_enqueued, probe) minus only the
     full-queue re-raise the gate already rules out; the io_cost arm
     (control vs data) is selected at emission time.
     """
@@ -224,9 +221,6 @@ def _enq_site(indent: int, q: str, value: str, control: bool,
         f'{pad}    qp.emit("queue.enq", queue={q.upper()}_NAME, '
         f"words={words},",
         f"{pad}            occupancy=q_{q}._occupancy_words, control={ctl})",
-        f"{pad}ev = q_{q}.on_event",
-        f"{pad}if ev is not None:",
-        f"{pad}    ev(q_{q}, True)",
     ]
     # -- io_cost + counters (PE._try_perform "enq") --
     if control:

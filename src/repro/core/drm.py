@@ -156,9 +156,6 @@ class DRM:
         if probe is not None and "queue.enq" in probe.bus.wants:
             probe.emit("queue.enq", queue=out.name, words=words,
                        occupancy=out._occupancy_words, control=False)
-        ev = out.on_event
-        if ev is not None:
-            ev(out, True)
         if self._mode == "strided":
             self._scan_addr += self._scan_stride
             self._scan_remaining -= 1
@@ -243,9 +240,6 @@ class DRM:
         if probe is not None and "queue.deq" in probe.bus.wants:
             probe.emit("queue.deq", queue=in_q.name, words=words,
                        occupancy=in_q._occupancy_words)
-        ev = in_q.on_event
-        if ev is not None:
-            ev(in_q, False)
         producer = self.producer_key
         words = out.entry_words
         credits = out._credits
@@ -258,26 +252,7 @@ class DRM:
         if probe is not None and "queue.enq" in probe.bus.wants:
             probe.emit("queue.enq", queue=out.name, words=words,
                        occupancy=out._occupancy_words, control=False)
-        ev = out.on_event
-        if ev is not None:
-            ev(out, True)
         return cost
-
-    def watch_queue_names(self):
-        """Output queues whose *dequeues* could unblock this DRM.
-
-        Complements the input queue (whose enqueues obviously matter):
-        a DRM that cannot progress is either starved (input empty) or
-        back-pressured by a full/credit-exhausted output. For routed
-        DRMs every route target is included — the destination of the
-        head token depends on loaded values, so proving which single
-        target matters would cost as much as just re-checking on any of
-        them. Used by the event engine's wake-time derivation
-        (:func:`repro.core.events.wake_queue_names`).
-        """
-        if self._out_q is not None:
-            return (self._out_q.name,)
-        return tuple(q.name for q in self._target_queues)
 
     def can_progress(self) -> bool:
         """Whether :meth:`run` would perform at least one step right now.
@@ -445,9 +420,6 @@ class DRM:
                 if probe is not None and "queue.deq" in probe.bus.wants:
                     probe.emit("queue.deq", queue=in_name, words=in_words,
                                occupancy=in_q._occupancy_words)
-                ev = in_q.on_event
-                if ev is not None:
-                    ev(in_q, False)
                 words = out.entry_words
                 credits = out._credits
                 if credits is not None:
@@ -459,9 +431,6 @@ class DRM:
                 if probe is not None and "queue.enq" in probe.bus.wants:
                     probe.emit("queue.enq", queue=out.name, words=words,
                                occupancy=out._occupancy_words, control=False)
-                ev = out.on_event
-                if ev is not None:
-                    ev(out, True)
                 spent += cost
             self.loads = n_loads
             self.miss_stall_cycles = miss_stall

@@ -82,11 +82,6 @@ class ProcessingElement:
         # Optional telemetry Probe (repro.stats.telemetry); None means
         # instrumentation is disabled and costs one attribute check.
         self.probe = None
-        # True when the last quantum was pure stall/idle (no execute,
-        # no reconfiguration progress). The event engine uses this as
-        # its cheap sleep-candidate filter: only PEs that just wasted a
-        # whole quantum are worth the full can_progress() proof.
-        self.stalled_full_quantum = False
 
     # -- construction ------------------------------------------------------
 
@@ -410,8 +405,6 @@ class ProcessingElement:
         drm_used = [drm.run(budget) for drm in self.drms]
         remaining = float(budget) - self._debt
         self._debt = 0.0
-        full = remaining
-        self.stalled_full_quantum = False
         guard = 0
         while remaining > _EPS:
             guard += 1
@@ -431,14 +424,12 @@ class ProcessingElement:
             if self.all_done():
                 self.counters.add("idle", remaining)
                 self.now += remaining
-                self.stalled_full_quantum = remaining == full
                 return
             stage = self.current
             if stage is None or not self.stage_runnable(stage):
                 nxt = self._pick_next(stage)
                 if nxt is None:
                     if fast:
-                        self.stalled_full_quantum = remaining == full
                         remaining = self._stall_fast(remaining)
                         continue
                     if (self.probe is not None
@@ -513,60 +504,6 @@ class ProcessingElement:
                 add(bucket, 1.0)
                 self.now += 1.0
         return remaining - float(steps)
-
-    def charge_blocked_quanta(self, n: int, quantum: float,
-                              bucket: str) -> None:
-        """Repay ``n`` slept quanta of stall cycles to ``bucket``.
-
-        The event engine's deferred-stall ledger: while this PE slept,
-        each quantum of the per-quantum loop would have charged the
-        whole budget (minus any carried debt) to one unchanging bucket.
-        ``bucket`` was captured when the PE went to sleep — it must not
-        be recomputed here, because the queue activity that triggered
-        the wake can already have flipped the classification.
-
-        Replicates :meth:`run_quantum`'s arithmetic exactly, including
-        the all-done fractional path, ``_stall_fast``'s ceil-and-debt
-        behavior, and the integrality guards that make the bulk adds
-        bit-identical to repeated unit increments.
-        """
-        if n <= 0:
-            return
-        quantum = float(quantum)
-        total = float(n) * quantum
-        if (self._debt == 0.0 and quantum.is_integer()
-                and self.now.is_integer()
-                and self.counters[bucket].is_integer()
-                and total.is_integer()):
-            self.counters.add(bucket, total)
-            self.now += total
-            return
-        done = self.all_done()
-        for _ in range(n):
-            remaining = quantum - self._debt
-            self._debt = 0.0
-            if remaining <= _EPS:
-                # The naive loop body never runs: the carried debt ate
-                # the whole quantum (and any overshoot rolls forward).
-                if remaining < 0:
-                    self._debt = -remaining
-                continue
-            if done:
-                self.counters.add(bucket, remaining)
-                self.now += remaining
-                continue
-            steps = math.ceil(remaining - _EPS)
-            if self.now.is_integer() and self.counters[bucket].is_integer():
-                self.counters.add(bucket, float(steps))
-                self.now += float(steps)
-            else:
-                add = self.counters.add
-                for _ in range(steps):
-                    add(bucket, 1.0)
-                    self.now += 1.0
-            leftover = remaining - float(steps)
-            if leftover < 0:
-                self._debt = -leftover
 
     def fast_forward_quanta(self, n: int, quantum: float) -> None:
         """Advance ``n`` quanta while the whole system is quiescent.

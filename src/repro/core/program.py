@@ -55,7 +55,7 @@ class Program:
     control_poll: Optional[Callable[[Any], None]] = None
     # Optional side-effect-free predicate certifying that the *next*
     # control_poll call is a no-op and stays one until some queue
-    # activity occurs. The event engine only jumps a fully quiescent
+    # activity occurs. The fast engine only jumps a fully quiescent
     # system over the control core when this returns True; without it
     # every quantum boundary is visited so the poll keeps running.
     control_poll_idle: Optional[Callable[[Any], bool]] = None

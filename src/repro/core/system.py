@@ -11,7 +11,6 @@ with all queue and cache state globally visible at quantum boundaries.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -20,7 +19,6 @@ from repro.cgra.fabric import FabricSpec
 from repro.cgra.mapper import Mapping, map_dfg_cached
 from repro.config import SystemConfig
 from repro.core.drm import DRM
-from repro.core.events import EventQueue, SleepState, wake_queue_names
 from repro.core.pe import ProcessingElement
 from repro.core.program import Program
 from repro.core.stage import StageContext, StageInstance
@@ -33,13 +31,11 @@ from repro.stats.cpi_stack import cpi_stack, merge_stacks
 
 
 #: Valid ``System.run(engine=...)`` values. ``fast`` skips blocked and
-#: quiescent spans in bulk; ``event`` additionally puts provably
-#: quiescent PEs to sleep on queue-activity wake lists so wall time
-#: scales with events rather than cycles; ``naive`` is the original
-#: per-cycle reference loop kept as the differential-testing oracle.
-#: All three are cycle- and counter-exact (docs/performance.md,
+#: quiescent spans in bulk; ``naive`` is the original per-cycle
+#: reference loop kept as the differential-testing oracle. Both are
+#: cycle- and counter-exact (docs/performance.md,
 #: tests/test_engine_equivalence.py, tests/test_engine_fuzz.py).
-ENGINES = ("fast", "naive", "event")
+ENGINES = ("fast", "naive")
 
 
 class DeadlockError(Exception):
@@ -65,9 +61,9 @@ class SimulationResult:
     result: Any
     mappings: dict[str, Mapping] = field(default_factory=dict)
     engine: str = "fast"
-    # Engine-internal work accounting (quanta visited, PE-quantum
-    # activations, sleeps/wakes, jumped quanta) — what
-    # bench_engine_speedup reports as per-engine event counts.
+    # Engine-internal work accounting (quanta stepped, PE-quantum
+    # activations, quanta jumped) — what bench_engine_speedup reports
+    # as per-engine work counts.
     engine_stats: dict = field(default_factory=dict)
 
     @property
@@ -275,19 +271,36 @@ class System:
         return (f"{self.program.name!r} exceeded {max_cycles} cycles\n"
                 + self._state_report())
 
+    def _control_poll_idle(self) -> bool:
+        """Whether the next ``control_poll`` call is certified a no-op.
+
+        The control core is a black box to the engine, so quiescence
+        jumps over it are only legal when the program opts in with a
+        side-effect-free ``control_poll_idle`` predicate certifying
+        that (a) the next poll changes nothing and (b) polls stay
+        no-ops until some queue activity occurs. Without the predicate
+        every quantum boundary is visited so the poll keeps running.
+        """
+        if self.program.control_poll is None:
+            return True
+        idle = self.program.control_poll_idle
+        return idle is not None and idle(self)
+
     def _can_fast_forward(self) -> bool:
         """Whether the fast engine may jump over the remaining quanta.
 
         Requires that nothing outside the PEs can inject work (no
-        ``control_poll``), that quiescence probing cannot emit events a
-        sink would record (``can_enq`` publishes ``queue.credit_stall``
-        when sinks are attached), and that no PE or DRM can move a
-        token. Under those conditions every future quantum only adds
-        stall cycles, so the run can only end in deadlock or timeout.
+        ``control_poll``, or one certified idle by
+        :meth:`_control_poll_idle`), that quiescence probing cannot
+        emit events a sink would record (``can_enq`` publishes
+        ``queue.credit_stall`` when sinks are attached), and that no PE
+        or DRM can move a token. Under those conditions every future
+        quantum only adds stall cycles, so the run can only end in
+        deadlock or timeout.
         """
-        if self.program.control_poll is not None:
-            return False
         if self.telemetry is not None and self.telemetry.sinks:
+            return False
+        if not self._control_poll_idle():
             return False
         return not any(pe.can_progress() for pe in self.pes)
 
@@ -302,6 +315,10 @@ class System:
         after ``ceil((max_cycles - cycle) / quantum)`` quanta have run
         — whichever horizon is closer wins, deadlock on ties. Always
         raises; never returns.
+
+        A certified-idle ``control_poll`` is not called: it would be a
+        no-op on every skipped boundary, since no queue moves while
+        nothing can progress.
         """
         to_deadlock = self.config.deadlock_quanta - stuck_quanta
         to_timeout = None
@@ -309,6 +326,7 @@ class System:
             to_timeout = max(0, math.ceil((max_cycles - self.cycle) / quantum))
         raise_deadlock = to_timeout is None or to_deadlock <= to_timeout
         quanta = to_deadlock if raise_deadlock else to_timeout
+        stats = self.engine_stats
         if self.telemetry is not None and self.telemetry.samplers:
             # Keep sampled time series identical: tick every boundary.
             for _ in range(quanta):
@@ -318,6 +336,8 @@ class System:
                     pe.run_quantum(quantum, fast=True)
                 self.cycle += quantum
                 self.telemetry.on_quantum(self)
+            stats["quanta"] += quanta
+            stats["pe_quanta"] += quanta * len(self.pes)
         else:
             # No observer: collapse all quanta into one bulk charge per
             # PE. No memory access can occur (nothing can progress), so
@@ -325,6 +345,7 @@ class System:
             for pe in self.pes:
                 pe.fast_forward_quanta(quanta, quantum)
             self.cycle += quanta * quantum
+            stats["jumped_quanta"] += quanta
             if self.telemetry is not None:
                 self.telemetry.now = self.cycle
         if raise_deadlock:
@@ -343,13 +364,17 @@ class System:
         bit-identical in cycles, counters, CPI stacks, and results.
 
         ``engine`` selects the simulation loop: ``"fast"`` (default)
-        bulk-charges blocked spans and jumps quiescent systems to their
-        deadlock/timeout horizon; ``"event"`` additionally sleeps
-        provably blocked PEs on queue wake lists and settles their
-        stall cycles lazily; ``"naive"`` ticks every cycle. All three
-        produce identical cycle counts, counters, CPI stacks, sampled
-        time series, and results (tests/test_engine_equivalence.py,
+        bulk-charges blocked spans and jumps quiescent systems — past a
+        certified-idle control core — to their deadlock/timeout
+        horizon; ``"naive"`` ticks every cycle. Both produce identical
+        cycle counts, counters, CPI stacks, sampled time series, and
+        results (tests/test_engine_equivalence.py,
         tests/test_engine_fuzz.py).
+
+        ``engine_stats`` counts the quanta stepped (``quanta``), the
+        PE-quanta run (``pe_quanta``), and the quanta a fast-forward
+        skipped in bulk (``jumped_quanta``); ``quanta +
+        jumped_quanta`` equals the naive engine's ``quanta``.
         """
         if engine not in ENGINES:
             raise ValueError(
@@ -366,12 +391,9 @@ class System:
             for pe in self.pes:
                 for stage in pe.stages:
                     stage.step_fn = None
-        if engine == "event":
-            self._run_event(max_cycles)
-        else:
-            self._run_stepped(max_cycles, fast=(engine == "fast"))
+        self._run_stepped(max_cycles, fast=(engine == "fast"))
         if codegen_counts is not None:
-            # Recorded after the run: the engines reset engine_stats.
+            # Recorded after the run: the engine resets engine_stats.
             bound, fallback = codegen_counts
             self.engine_stats["codegen_stages"] = bound
             self.engine_stats["codegen_fallback"] = fallback
@@ -401,7 +423,6 @@ class System:
         """The per-quantum loop shared by the naive and fast engines."""
         quantum = self.config.quantum
         stats = self.engine_stats = {"quanta": 0, "pe_quanta": 0,
-                                     "sleeps": 0, "wakes": 0,
                                      "jumped_quanta": 0}
         n_pes = len(self.pes)
         stuck_quanta = 0
@@ -431,262 +452,3 @@ class System:
             else:
                 stuck_quanta = 0
                 last_fingerprint = fingerprint
-
-    # -- event-driven engine -------------------------------------------------
-
-    def _control_poll_idle(self) -> bool:
-        """Whether the next ``control_poll`` call is certified a no-op.
-
-        The control core is a black box to the engine, so quiescence
-        jumps over it are only legal when the program opts in with a
-        side-effect-free ``control_poll_idle`` predicate certifying
-        that (a) the next poll changes nothing and (b) polls stay
-        no-ops until some queue activity occurs. Without the predicate
-        the event engine conservatively visits every quantum boundary
-        so the poll keeps running.
-        """
-        if self.program.control_poll is None:
-            return True
-        idle = self.program.control_poll_idle
-        return idle is not None and idle(self)
-
-    def _note_queue_event(self, queue, is_enq: bool) -> None:
-        """Next-event hook: activity on a queue some sleeping PE watches.
-
-        The hook is armed per queue only while it has watchers (so the
-        enq/deq hot path of every other queue stays one attribute
-        check) and wakes every PE sleeping on ``queue``. A waiter that
-        has not yet run in the current quantum (its index is past the
-        running cursor) settles its stall ledger and joins this
-        quantum in PE order — the per-quantum loop would have run it
-        after the producer and it would have seen this token. A waiter
-        at or before the cursor already took its blocked turn this
-        quantum, so it is charged through this quantum and rejoins at
-        the next boundary. This ordering rule is what keeps sleeping
-        bit-exact under the sequential-update quantum model.
-        """
-        waiters = queue.ev_waiters
-        sleep = self._ev_sleep
-        cursor = self._ev_cursor
-        quantum = float(self.config.quantum)
-        self.engine_stats["wakes"] += len(waiters)
-        for i in sorted(waiters):
-            state = sleep[i]
-            sleep[i] = None
-            for watched in state.watching:
-                if watched is not queue:
-                    others = watched.ev_waiters
-                    others.discard(i)
-                    if not others:
-                        watched.on_event = None
-            if i > cursor:
-                owed = round((self.cycle - state.owed_from) / quantum)
-                self.engine_stats["slept_quanta"] += owed
-                self.pes[i].charge_blocked_quanta(owed, quantum,
-                                                  state.bucket)
-                insort(self._ev_runlist, i)
-            else:
-                self._ev_pending.append((i, state))
-        waiters.clear()
-        queue.on_event = None
-
-    def _ev_settle(self, i: int, state, boundary: float) -> None:
-        """Pay PE ``i``'s deferred stall cycles up to ``boundary``."""
-        quantum = float(self.config.quantum)
-        owed = round((boundary - state.owed_from) / quantum)
-        self.engine_stats["slept_quanta"] += owed
-        self.pes[i].charge_blocked_quanta(owed, quantum, state.bucket)
-
-    def _ev_flush_sleepers(self) -> None:
-        """Settle every outstanding ledger (run end, raise, or jump)."""
-        for i, state in enumerate(self._ev_sleep):
-            if state is None:
-                continue
-            self._ev_sleep[i] = None
-            for watched in state.watching:
-                waiters = watched.ev_waiters
-                waiters.discard(i)
-                if not waiters:
-                    watched.on_event = None
-            self._ev_settle(i, state, self.cycle)
-        for i, state in self._ev_pending:
-            self._ev_settle(i, state, self.cycle)
-        self._ev_pending.clear()
-
-    def _run_event(self, max_cycles: Optional[float]) -> None:
-        """The event-driven loop: visit only components that can act.
-
-        Derivation of per-component wake times (docs/performance.md):
-        stages and DRMs block exclusively on queue state, so a PE that
-        ``can_progress()`` proves quiescent sleeps on the queues its
-        blocked requests and DRMs watch (:func:`events.wake_queue_names`)
-        and its per-quantum stall charges are deferred to a ledger
-        settled at wake time (:meth:`ProcessingElement.
-        charge_blocked_quanta`). Clock-driven horizons — deadlock,
-        the caller's cycle limit, any timed memory-channel event — live
-        in an :class:`events.EventQueue`; when every PE sleeps and the
-        control core is certified passive, the engine pops the earliest
-        horizon and jumps. Telemetry sinks or samplers could observe
-        the skipped quanta, so their presence falls back to exact
-        replay of the fast engine's loop (bit-identical by PR 2's
-        differential contract).
-        """
-        bus = self.telemetry
-        if bus is not None and (bus.sinks or bus.samplers):
-            self.engine_stats = {}
-            self._run_stepped(max_cycles, fast=True)
-            self.engine_stats["fallback"] = "telemetry-observers"
-            return
-        quantum = self.config.quantum
-        pes = self.pes
-        n_pes = len(pes)
-        total_stages = sum(len(pe.stages) for pe in pes)
-        stats = self.engine_stats = {"quanta": 0, "pe_quanta": 0,
-                                     "sleeps": 0, "wakes": 0,
-                                     "slept_quanta": 0, "jumped_quanta": 0}
-        # Progress fingerprint, incremental over the PEs that ran:
-        # sleeping PEs cannot move any component of
-        # _progress_fingerprint (their deferred charges land in stall
-        # buckets it does not read), so only awake PEs are re-summed;
-        # the queue-token component is a plain counter sum, same as the
-        # stepped engines pay.
-        all_queues = tuple(self._queues.values())
-        finished = [sum(s.done for s in pe.stages) for pe in pes]
-        issued = [pe.counters["issued"] + pe.counters["stall_mem"]
-                  for pe in pes]
-        finished_total = sum(finished)
-        issued_total = sum(issued)
-        self._ev_sleep: list = [None] * n_pes
-        self._ev_pending: list = []
-        runlist = self._ev_runlist = list(range(n_pes))
-        self._ev_cursor = n_pes
-        control_poll = self.program.control_poll
-        hook = self._note_queue_event
-        try:
-            stuck_quanta = 0
-            last_fingerprint = None
-            while finished_total < total_stages:
-                if max_cycles is not None and self.cycle >= max_cycles:
-                    self._ev_flush_sleepers()
-                    raise SimulationTimeout(self._timeout_report(max_cycles))
-                if self._ev_pending:
-                    for i, state in self._ev_pending:
-                        self._ev_settle(i, state, self.cycle)
-                        insort(runlist, i)
-                    self._ev_pending.clear()
-                if bus is not None:
-                    bus.now = self.cycle
-                if runlist:
-                    self.memory.begin_quantum(quantum)
-                    idx = 0
-                    while idx < len(runlist):
-                        i = runlist[idx]
-                        self._ev_cursor = i
-                        pes[i].run_quantum(quantum, fast=True)
-                        idx += 1
-                    self._ev_cursor = n_pes
-                    stats["pe_quanta"] += idx
-                elif not self.memory.quantum_state_is_transient():
-                    self.memory.begin_quantum(quantum)
-                if control_poll is not None:
-                    control_poll(self)
-                self.cycle += quantum
-                stats["quanta"] += 1
-                if bus is not None:
-                    bus.on_quantum(self)
-                for i in runlist:
-                    pe = pes[i]
-                    done_stages = sum(s.done for s in pe.stages)
-                    if done_stages != finished[i]:
-                        finished_total += done_stages - finished[i]
-                        finished[i] = done_stages
-                    counters = pe.counters
-                    value = counters["issued"] + counters["stall_mem"]
-                    if value != issued[i]:
-                        issued_total += value - issued[i]
-                        issued[i] = value
-                # Sleep pass: only PEs that just wasted a whole quantum
-                # are candidates; can_progress() is the actual proof
-                # that every future quantum stays a pure stall until a
-                # watched queue moves.
-                for idx in range(len(runlist) - 1, -1, -1):
-                    i = runlist[idx]
-                    pe = pes[i]
-                    if not pe.stalled_full_quantum or pe.can_progress():
-                        continue
-                    bucket = ("idle" if pe.all_done()
-                              else pe._classify_blocked())
-                    watching = tuple(self._queues[name]
-                                     for name in wake_queue_names(pe))
-                    for watched in watching:
-                        waiters = watched.ev_waiters
-                        if not waiters:
-                            # First watcher arms the hook; the queue's
-                            # frozenset class default becomes a live set.
-                            waiters = watched.ev_waiters = set()
-                            watched.on_event = hook
-                        waiters.add(i)
-                    self._ev_sleep[i] = SleepState(
-                        owed_from=self.cycle, bucket=bucket,
-                        watching=watching)
-                    del runlist[idx]
-                    stats["sleeps"] += 1
-                tokens = 0
-                for q in all_queues:
-                    tokens += q.total_enqueued
-                fingerprint = (tokens, finished_total, issued_total)
-                if fingerprint == last_fingerprint:
-                    stuck_quanta += 1
-                    if stuck_quanta >= self.config.deadlock_quanta:
-                        self._ev_flush_sleepers()
-                        raise DeadlockError(self._deadlock_report())
-                    if (not runlist and not self._ev_pending
-                            and self._control_poll_idle()):
-                        self._ev_jump(quantum, max_cycles, stuck_quanta)
-                else:
-                    stuck_quanta = 0
-                    last_fingerprint = fingerprint
-            self._ev_flush_sleepers()
-        finally:
-            for queue in all_queues:
-                # Restore the class defaults (None / frozenset()).
-                queue.__dict__.pop("on_event", None)
-                queue.__dict__.pop("ev_waiters", None)
-
-    def _ev_jump(self, quantum: float, max_cycles: Optional[float],
-                 stuck_quanta: int) -> None:
-        """Pop the earliest clock-driven horizon and jump to it.
-
-        Only reached with every PE asleep, the control core certified
-        passive, and no telemetry observers: each remaining quantum is
-        provably identical, so the run can only end in deadlock or
-        timeout. The horizons are kept in an :class:`events.EventQueue`
-        — deadlock after ``deadlock_quanta - stuck_quanta`` more
-        quanta, the cycle limit per the naive loop's top-of-quantum
-        check, plus any timed event a memory channel announces (none
-        for the current HBM model, which would cancel the jump). The
-        ledger is settled first so :meth:`_fast_forward` charges every
-        PE from an exact state; it then replicates the per-quantum
-        raise ordering and always raises.
-        """
-        horizon = EventQueue()
-        horizon.schedule(
-            "deadlock",
-            self.cycle + (self.config.deadlock_quanta - stuck_quanta)
-            * quantum)
-        if max_cycles is not None:
-            quanta = max(0, math.ceil((max_cycles - self.cycle) / quantum))
-            horizon.schedule("timeout", self.cycle + quanta * quantum)
-        mem_event = self.memory.next_event_cycle()
-        if mem_event is not None:
-            horizon.schedule("memory", mem_event)
-        cycle, key = horizon.pop()
-        if key == "memory":
-            # A timed memory event would re-activate the system; the
-            # current models never schedule one (next_event_cycle is
-            # None), so jumping is refused rather than mis-modelled.
-            return
-        self._ev_flush_sleepers()
-        self.engine_stats["jumped_quanta"] += round(
-            (cycle - self.cycle) / quantum)
-        self._fast_forward(quantum, max_cycles, stuck_quanta)

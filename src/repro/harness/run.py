@@ -13,6 +13,7 @@ four evaluated systems (paper Sec. 7.1) are:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -77,6 +78,20 @@ RADII_SOURCES = 64
 
 def default_scale(app: str, code: str) -> float:
     return INPUT_SCALES.get((app, code), DEFAULT_SCALE)
+
+
+def check_scale_seed(scale: Optional[float] = None,
+                     seed: Optional[int] = None) -> None:
+    """Reject input coordinates the generators cannot honour.
+
+    ``scale`` must be finite and positive and ``seed`` non-negative;
+    ``None`` skips that field. Raises :class:`ValueError` naming the
+    offending field.
+    """
+    if scale is not None and not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass

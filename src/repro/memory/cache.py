@@ -38,31 +38,6 @@ class MainMemory:
         self._quantum_bytes = 0.0
         self._quantum_budget = self.config.bandwidth_bytes_per_cycle * cycles
 
-    # -- next-event hooks (event-driven engine) ---------------------------
-
-    def next_event_cycle(self) -> "float | None":
-        """Cycle of this channel's next self-driven event, or None.
-
-        The HBM model charges latency and queueing penalties inline at
-        ``access`` time and carries no in-flight request state, so it
-        never wakes the system on its own. A refresh- or
-        controller-modelling subclass would return the cycle of its
-        next timed action here; the event engine clamps any quiescence
-        jump to it (:meth:`repro.core.system.System._run_event`).
-        """
-        return None
-
-    def quantum_state_is_transient(self) -> bool:
-        """Whether per-quantum state dies at the quantum boundary.
-
-        True for this model: ``begin_quantum`` fully resets the
-        bandwidth window, so quanta in which no component can issue an
-        access may skip the reset without changing any later latency.
-        The event engine relies on this to elide ``begin_quantum`` for
-        quanta where every PE sleeps.
-        """
-        return True
-
     def access(self, addr: int, write: bool = False) -> float:
         if write:
             self.writes += 1

@@ -67,16 +67,6 @@ class Queue:
     # instance by System.attach_telemetry; the class default keeps the
     # uninstrumented hot path to one attribute lookup.
     probe = None
-    # Optional next-event hook, armed per instance by the event-driven
-    # engine only while some sleeping PE watches this queue: called as
-    # ``on_event(queue, is_enq)`` after an enqueue/dequeue, it is how
-    # sleepers learn that a queue they block on changed. The class
-    # default keeps every unwatched queue's hot path to one attribute
-    # check.
-    on_event = None
-    # Sleeping-PE wake set managed by the event engine (ids of PEs
-    # blocked on this queue); non-empty exactly while armed.
-    ev_waiters = frozenset()
 
     def __init__(self, name: str, capacity_words: int, entry_words: int = 1,
                  producers: Sequence[Hashable] = (),
@@ -190,8 +180,6 @@ class Queue:
             self.probe.emit("queue.enq", queue=self.name, words=words,
                             occupancy=self._occupancy_words,
                             control=is_control)
-        if self.on_event is not None:
-            self.on_event(self, True)
 
     # -- dequeue side ------------------------------------------------------
 
@@ -214,6 +202,4 @@ class Queue:
         if self.probe is not None and "queue.deq" in self.probe.bus.wants:
             self.probe.emit("queue.deq", queue=self.name, words=words,
                             occupancy=self._occupancy_words)
-        if self.on_event is not None:
-            self.on_event(self, False)
         return token

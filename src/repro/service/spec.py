@@ -24,7 +24,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.config import CacheConfig, FabricConfig, MemoryConfig, SystemConfig
-from repro.harness.run import APP_INPUTS, SYSTEMS, default_scale
+from repro.harness.run import (APP_INPUTS, SYSTEMS, check_scale_seed,
+                               default_scale)
 from repro.harness.sweep import SweepPoint
 from repro.stats.manifest import manifest_key
 
@@ -122,10 +123,9 @@ def canonicalize_spec(raw: dict) -> dict:
                  else default_scale(app, input_code))
         seed = int(raw.get("seed", 1))
         max_cycles = float(raw.get("max_cycles", 2e9))
+        check_scale_seed(scale, seed)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid numeric spec field: {exc}") from None
-    if scale <= 0:
-        raise SpecError(f"scale must be positive, got {scale}")
     config = config_from_dict(raw.get("config"))
     return {
         "app": app,

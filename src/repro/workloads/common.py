@@ -795,7 +795,7 @@ class IterationCoordinator:
             self._dispatch(system)
 
     def poll_idle(self, system) -> bool:
-        """Certify the next :meth:`poll` a no-op (event-engine jumps).
+        """Certify the next :meth:`poll` a no-op (fast-engine jumps).
 
         After the initial kick, a poll only acts when barrier tokens
         are waiting or every shard has already arrived; with neither

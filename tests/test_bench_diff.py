@@ -172,7 +172,7 @@ class TestCommittedBaselines:
         report = bench_diff(history, history)
         assert report.ok
         assert report.findings == []
-        assert report.n_compared == 18   # 6 apps x 3 engines
+        assert report.n_compared == 12   # 6 apps x 2 engines
 
     def test_history_covers_all_engines_with_profiles(self):
         from pathlib import Path
@@ -183,7 +183,7 @@ class TestCommittedBaselines:
         keys = {manifest_key(m) for m in manifests}
         assert len(keys) == len(manifests)
         engines = {m["engine"] for m in manifests}
-        assert engines == {"fast", "naive", "event"}
+        assert engines == {"fast", "naive"}
         for manifest in manifests:
             assert manifest["profile"]["blame_rollup"], \
                 f"{manifest['app']}: baseline was not profiled"

@@ -1,20 +1,20 @@
-"""Differential suite: the fast and event engines must be cycle-exact.
+"""Differential suite: the fast engine must be cycle-exact.
 
 The fast engine (``engine="fast"``) bulk-charges blocked spans instead
-of ticking them cycle by cycle; the event engine (``engine="event"``)
-additionally sleeps provably blocked PEs on queue wake lists and
-settles their stall cycles lazily (docs/performance.md). These tests
-lock both down against the naive per-cycle reference: for every
-workload, final cycle counts, per-PE counters, CPI stacks, cache and
-memory statistics, functional results, and sampled telemetry series
-must be *identical* — not approximately equal — under all engines.
+of ticking them cycle by cycle and jumps fully quiescent systems to
+their deadlock/timeout horizon (docs/performance.md). These tests lock
+it down against the naive per-cycle reference: for every workload,
+final cycle counts, per-PE counters, CPI stacks, cache and memory
+statistics, functional results, and sampled telemetry series must be
+*identical* — not approximately equal — under both engines.
 
 Truncated runs matter as much as completed ones: a
 :class:`DeadlockError` or :class:`SimulationTimeout` raised mid-flight
-exercises the engines' finalize/clamping paths (the event engine must
-settle every sleeping PE's deferred-stall ledger before raising), so
-the suite also asserts that interrupted simulations leave bit-identical
-state and raise byte-identical reports.
+exercises the fast engine's horizon jump (including the jump over a
+control core certified idle by ``Program.control_poll_idle``), so the
+suite also asserts that interrupted simulations leave bit-identical
+state, raise byte-identical reports, and account for every quantum in
+``engine_stats``.
 """
 
 import numpy as np
@@ -123,11 +123,10 @@ def test_codegen_matches_interpreted(app, code, scale, prepared_inputs):
 
 
 def test_sampled_series_identical(prepared_inputs):
-    """With a periodic sampler attached, the shortcut engines must
-    still visit every quantum boundary (the event engine falls back to
-    exact replay): the sampled time series (queue occupancies, PE
-    states, cumulative CPI stacks) match point for point, not just the
-    final totals."""
+    """With a periodic sampler attached, the fast engine must still
+    visit every quantum boundary: the sampled time series (queue
+    occupancies, PE states, cumulative CPI stacks) match point for
+    point, not just the final totals."""
     prepared = prepared_inputs[("bfs", "Hu")]
     samples = {}
     for engine in ENGINES:
@@ -137,14 +136,14 @@ def test_sampled_series_identical(prepared_inputs):
                        engine=engine, telemetry=bus)
         samples[engine] = sampler.samples
     assert samples["fast"] == samples["naive"]
-    assert samples["event"] == samples["naive"]
 
 
 def test_run_rejects_unknown_engine(prepared_inputs):
-    with pytest.raises(ValueError, match="engine"):
-        run_experiment("bfs", "Hu", "fifer",
-                       prepared=prepared_inputs[("bfs", "Hu")],
-                       engine="warp")
+    for engine in ("warp", "event"):
+        with pytest.raises(ValueError, match="engine"):
+            run_experiment("bfs", "Hu", "fifer",
+                           prepared=prepared_inputs[("bfs", "Hu")],
+                           engine=engine)
 
 
 def test_system_run_default_engine_is_fast(prepared_inputs):
@@ -156,7 +155,7 @@ def test_system_run_default_engine_is_fast(prepared_inputs):
 
 def test_small_fabric_engines_identical(prepared_inputs):
     """A 4-PE fabric maximizes blocked time (stages contend for PEs),
-    the regime where the shortcut engines' stall paths do the most
+    the regime where the fast engine's stall paths do the most
     work."""
     prepared = prepared_inputs[("bfs", "Hu")]
     config = SystemConfig(n_pes=4)
@@ -164,21 +163,6 @@ def test_small_fabric_engines_identical(prepared_inputs):
                                    config=config, engine=engine)
             for engine in ENGINES}
     _assert_runs_identical({e: r.raw for e, r in runs.items()})
-
-
-def test_event_engine_reports_event_counts(prepared_inputs):
-    """The event engine exposes its event counts (quanta visited,
-    per-PE quanta actually stepped, sleeps/wakes, quanta slept
-    through, quanta jumped) so benchmarks can report work done
-    alongside wall time."""
-    res = run_experiment("bfs", "Hu", "static",
-                         prepared=prepared_inputs[("bfs", "Hu")],
-                         engine="event")
-    stats = res.raw.engine_stats
-    assert {"quanta", "pe_quanta", "sleeps", "wakes", "slept_quanta",
-            "jumped_quanta"} <= set(stats)
-    assert stats["pe_quanta"] + stats["slept_quanta"] > 0
-    assert stats["sleeps"] >= stats["wakes"]
 
 
 # -- truncated runs: deadlock/timeout mid-flight --------------------------
@@ -200,10 +184,12 @@ def _source_dfg(name, out_q):
     return b.finish()
 
 
-def _truncatable_program(n_items, sink_consumes=True):
+def _truncatable_program(n_items, sink_consumes=True, control=None):
     """Producer/consumer pair; with ``sink_consumes=False`` the sink
     waits on a queue nothing feeds, so the run deadlocks once the
-    shared queue fills."""
+    shared queue fills. ``control`` installs a passive control core:
+    ``"certified"`` with a ``control_poll_idle`` certificate,
+    ``"uncertified"`` without one."""
     space = AddressSpace()
     seen = []
 
@@ -233,69 +219,78 @@ def _truncatable_program(n_items, sink_consumes=True):
             StageSpec("trunc.snk", _sink_dfg("trunc.snk", sink_queue),
                       consumer_fn),
         ])
-    return Program("trunc", [pe], space, MemoryMap(),
-                   result_fn=lambda: list(seen))
+    program = Program("trunc", [pe], space, MemoryMap(),
+                      result_fn=lambda: list(seen))
+    if control is not None:
+        program.control_poll = lambda system: None
+        if control == "certified":
+            program.control_poll_idle = lambda system: True
+    return program
 
 
-def _truncated_state(engine, *, n_items, sink_consumes, config,
-                     max_cycles, expect):
+def _truncated_run(engine, *, n_items, sink_consumes, config, max_cycles,
+                   expect, control=None, sampled=False):
     """Run to the expected mid-flight exception; return the system's
-    complete observable state at the moment of the raise."""
-    program = _truncatable_program(n_items, sink_consumes=sink_consumes)
-    system = System(config, program, mode="fifer")
+    complete observable state at the moment of the raise (with the
+    sampled series when ``sampled``) and the engine's work counts."""
+    program = _truncatable_program(n_items, sink_consumes=sink_consumes,
+                                   control=control)
+    bus = sampler = None
+    if sampled:
+        bus = EventBus()
+        sampler = bus.add_sampler(PeriodicSampler(256.0, publish=False))
+    system = System(config, program, mode="fifer", telemetry=bus)
     with pytest.raises(expect) as excinfo:
         system.run(max_cycles=max_cycles, engine=engine)
-    return {
+    state = {
         "cycle": system.cycle,
         "counters": [pe.counters.as_dict() for pe in system.pes],
         "queues": {name: (len(q), q.occupancy_words, q.total_enqueued)
                    for name, q in system.queues.items()},
         "message": str(excinfo.value),
+        "samples": sampler.samples if sampler is not None else None,
     }
+    return state, system.engine_stats
 
 
 class TestTruncatedRuns:
-    """Interrupted simulations leave identical state under every
-    engine: the deferred-stall ledgers and horizon jumps must clamp
-    and settle exactly at the raise."""
+    """Interrupted simulations leave identical state under both
+    engines: the fast engine's horizon jumps must clamp exactly at the
+    raise."""
 
     def test_deadlock_state_identical(self):
         config = SystemConfig(n_pes=1, deadlock_quanta=20)
-        states = {engine: _truncated_state(
+        states = {engine: _truncated_run(
             engine, n_items=5, sink_consumes=False, config=config,
-            max_cycles=None, expect=DeadlockError) for engine in ENGINES}
+            max_cycles=None, expect=DeadlockError)[0] for engine in ENGINES}
         assert states["fast"] == states["naive"]
-        assert states["event"] == states["naive"]
 
     def test_timeout_state_identical(self):
         config = SystemConfig(n_pes=1)
-        states = {engine: _truncated_state(
+        states = {engine: _truncated_run(
             engine, n_items=10_000, sink_consumes=True, config=config,
-            max_cycles=640, expect=SimulationTimeout)
+            max_cycles=640, expect=SimulationTimeout)[0]
             for engine in ENGINES}
         assert states["fast"] == states["naive"]
-        assert states["event"] == states["naive"]
 
     def test_timeout_through_quiescence_jump_identical(self):
         """With the deadlock horizon far out and a nearer cycle limit,
-        a fully blocked system must time out — the event engine takes
-        its jump path (every PE asleep), the fast engine its
-        fast-forward, the naive engine ticks there; all three must
-        agree to the cycle."""
+        a fully blocked system must time out — the fast engine takes
+        its fast-forward, the naive engine ticks there; both must agree
+        to the cycle."""
         config = SystemConfig(n_pes=1, deadlock_quanta=100_000)
-        states = {engine: _truncated_state(
+        states = {engine: _truncated_run(
             engine, n_items=5, sink_consumes=False, config=config,
-            max_cycles=50_000, expect=SimulationTimeout)
+            max_cycles=50_000, expect=SimulationTimeout)[0]
             for engine in ENGINES}
         assert states["fast"] == states["naive"]
-        assert states["event"] == states["naive"]
 
     @pytest.mark.parametrize("max_cycles", [1_000, 2_500])
     def test_workload_timeout_state_identical(self, max_cycles,
                                               prepared_inputs):
-        """A real workload interrupted mid-flight (PEs mid-quantum,
-        some possibly asleep) reports identical cycles and timeout
-        text under every engine."""
+        """A real workload interrupted mid-flight (PEs mid-quantum)
+        reports identical cycles and timeout text under both
+        engines."""
         prepared = prepared_inputs[("bfs", "Hu")]
         messages = {}
         for engine in ENGINES:
@@ -304,4 +299,32 @@ class TestTruncatedRuns:
                                engine=engine, max_cycles=max_cycles)
             messages[engine] = str(excinfo.value)
         assert messages["fast"] == messages["naive"]
-        assert messages["event"] == messages["naive"]
+
+    @pytest.mark.parametrize("ending", ["deadlock", "timeout"])
+    @pytest.mark.parametrize("sampled", [False, True],
+                             ids=["unsampled", "sampled"])
+    @pytest.mark.parametrize("control", ["certified", "uncertified"])
+    def test_control_core_jump_identical(self, control, sampled, ending):
+        """A wedged pipeline under an active control core: the fast
+        engine jumps the dead quanta only when ``control_poll_idle``
+        certifies the poll a no-op and no sampler needs every
+        boundary. State, report, and sampled series match naive either
+        way, and every quantum naive steps is either stepped or
+        jumped."""
+        if ending == "deadlock":
+            config = SystemConfig(n_pes=1, deadlock_quanta=20)
+            max_cycles, expect = None, DeadlockError
+        else:
+            config = SystemConfig(n_pes=1, deadlock_quanta=100_000)
+            max_cycles, expect = 50_000, SimulationTimeout
+        runs = {engine: _truncated_run(
+            engine, n_items=5, sink_consumes=False, config=config,
+            max_cycles=max_cycles, expect=expect, control=control,
+            sampled=sampled) for engine in ENGINES}
+        (fast, fast_stats), (naive, naive_stats) = runs["fast"], runs["naive"]
+        assert fast == naive
+        assert (fast_stats["quanta"] + fast_stats["jumped_quanta"]
+                == naive_stats["quanta"])
+        assert naive_stats["jumped_quanta"] == 0
+        assert (fast_stats["jumped_quanta"] > 0) == (
+            control == "certified" and not sampled)

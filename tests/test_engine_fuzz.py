@@ -5,15 +5,15 @@ generator draws random small :class:`SystemConfig` variations (queue
 depths, PE counts, DRM issue/outstanding limits, memory latency and
 bandwidth, quanta, scheduler policies, stage speed factors) crossed
 with random dataset slices (app, input, scale, seed) and runs the same
-experiment under every engine in :data:`repro.core.ENGINES`, each both
-with the interpreted coroutine path and with compiled step-functions
-(``codegen=True``; stage-speedup draws exercise fractional per-token
-costs through the generated code). The
-property is the differential contract of ``docs/performance.md``: all
-engines produce the *identical* fingerprint — cycle count, per-PE
-counters, CPI stacks, cache/memory statistics, per-queue totals, and
-functional results — and interrupted runs (deadlock, timeout) raise
-byte-identical reports.
+experiment under both engines in :data:`repro.core.ENGINES` (``fast``
+and the ``naive`` reference), each both with the interpreted coroutine
+path and with compiled step-functions (``codegen=True``; stage-speedup
+draws exercise fractional per-token costs through the generated code).
+The property is the differential contract of ``docs/performance.md``:
+all four engine x codegen runs produce the *identical* fingerprint —
+cycle count, per-PE counters, CPI stacks, cache/memory statistics,
+per-queue totals, and functional results — and interrupted runs
+(deadlock, timeout) raise byte-identical reports.
 
 On a failing seed the harness shrinks the case (smaller scale, fewer
 PEs, default knobs) while it still fails, then persists the minimal
@@ -52,7 +52,7 @@ _APPS = (("bfs", "Hu"), ("cc", "Ci"), ("prd", "Hu"), ("radii", "In"),
 
 # Base stage names per app, for stage_speedup draws (fractional factors
 # produce non-integral cycle costs, stressing the engines' debt and
-# deferred-ledger arithmetic).
+# bulk-charge arithmetic).
 _STAGE_BASES = {
     "bfs": ("bfs.fetch", "bfs.enum", "bfs.update"),
     "cc": ("cc.fetch", "cc.enum", "cc.update"),
@@ -154,7 +154,7 @@ def case_fails(case: dict) -> dict | None:
     """Run engines x codegen; return {label: fingerprint} on mismatch.
 
     The property crosses every engine with both execution paths
-    (interpreted coroutines and compiled step-functions): all six
+    (interpreted coroutines and compiled step-functions): all four
     fingerprints must be identical, including on truncated runs, where
     a codegen stage's ``stage.pending`` request must clamp exactly
     like the interpreter's.

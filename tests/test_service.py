@@ -225,8 +225,8 @@ class TestServiceEndpoints:
 
 
 @pytest.mark.parametrize("app,engine", [
-    ("bfs", "fast"), ("bfs", "event"),
-    ("sssp", "fast"), ("sssp", "event"),
+    ("bfs", "fast"), ("bfs", "naive"),
+    ("sssp", "fast"), ("sssp", "naive"),
 ])
 def test_differential_byte_identity(service, app, engine):
     """cold (server-computed) == warm (cache replay) == local CLI path."""

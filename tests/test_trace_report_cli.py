@@ -166,3 +166,34 @@ class TestCLI:
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "sorting", "Hu"])
+
+    #: Malformed input coordinates as (argv, spec field, spec value).
+    #: Every argv exits 2 with one ``repro`` error line and no
+    #: traceback, and canonicalize_spec rejects the same value.
+    BAD_SCALE_SEED = [
+        (["run", "bfs", "Hu", "--scale", "0"], "scale", 0.0),
+        (["run", "bfs", "Hu", "--scale", "-1"], "scale", -1.0),
+        (["run", "bfs", "Hu", "--scale", "nan"], "scale", float("nan")),
+        (["run", "bfs", "Hu", "--scale", "inf"], "scale", float("inf")),
+        (["run", "bfs", "Hu", "--seed", "-1"], "seed", -1),
+        (["compare", "bfs", "Hu", "--scale", "0"], "scale", 0.0),
+        (["lint", "bfs", "--scale", "0"], "scale", 0.0),
+        (["run", "silo", "YC", "--scale", "-1"], "scale", -1.0),
+    ]
+
+    @pytest.mark.parametrize("argv,field,value", BAD_SCALE_SEED,
+                             ids=[" ".join(case[0])
+                                  for case in BAD_SCALE_SEED])
+    def test_bad_scale_seed_rejected(self, argv, field, value, capsys):
+        from repro.service import SpecError, canonicalize_spec
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("repro")]
+        assert len(errors) == 1 and field in errors[0], err
+        assert "Traceback" not in err
+        with pytest.raises(SpecError, match=field):
+            canonicalize_spec({"app": "bfs", "input_code": "Hu",
+                               "system": "fifer", field: value})
