@@ -1,18 +1,14 @@
-"""Content-addressed caches for compiled artifacts and results.
+"""Content-addressed cache for compiled artifacts.
 
 Fifer's compile path (annotated kernel → split plan → per-stage DFGs →
 fabric mappings) is deterministic and pure, so every product is
 reusable once it is keyed by content. This package provides:
 
 * :mod:`repro.cache.content` — the content-addressing primitives
-  (code version, dataset digests, kernel fingerprints, mapping keys);
+  (code version, kernel fingerprints, mapping keys);
 * :mod:`repro.cache.artifacts` — the two-layer (memory + disk)
-  :class:`ArtifactCache` with per-kind hit/miss counters.
-
-The experiment *result* store (manifests keyed by
-:func:`repro.stats.manifest.manifest_key`) lives with its only
-consumer in :mod:`repro.service.store`; both stores share one cache
-root (``REPRO_CACHE_DIR`` or ``~/.cache/repro``).
+  :class:`ArtifactCache` with per-kind hit/miss counters, rooted at
+  ``REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 """
 
 from __future__ import annotations
@@ -23,8 +19,8 @@ from pathlib import Path
 from repro.cache.artifacts import (ArtifactCache, configure_artifact_cache,
                                    get_artifact_cache)
 from repro.cache.content import (callable_fingerprint, code_version,
-                                 dataset_digest, kernel_fingerprint,
-                                 mapping_key, sha256_text)
+                                 kernel_fingerprint, mapping_key,
+                                 sha256_text)
 
 
 def default_cache_root() -> Path:
@@ -37,7 +33,7 @@ def default_cache_root() -> Path:
 
 __all__ = [
     "ArtifactCache", "configure_artifact_cache", "get_artifact_cache",
-    "callable_fingerprint", "code_version", "dataset_digest",
-    "kernel_fingerprint", "mapping_key", "sha256_text",
+    "callable_fingerprint", "code_version", "kernel_fingerprint",
+    "mapping_key", "sha256_text",
     "default_cache_root",
 ]

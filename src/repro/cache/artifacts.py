@@ -6,8 +6,7 @@ reused once it is keyed by content (:mod:`repro.cache.content`). The
 :class:`ArtifactCache` layers two stores:
 
 * an **in-memory** map serving every repeat compile within a process
-  (the long-running experiment service compiles each kernel once,
-  ever);
+  (a sweep or benchmark compiles each kernel once per worker);
 * an optional **on-disk** store under ``<root>/artifacts/<code>/``
   serving repeat compiles across processes (CLI invocations,
   benchmark reruns). Entries are namespaced by :func:`code_version`,
@@ -145,9 +144,6 @@ class ArtifactCache:
 
     # -- introspection & maintenance ------------------------------------
 
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
     def stats(self) -> dict:
         """Deterministic summary for ``repro cache stats``."""
         disk = {"entries": 0, "bytes": 0, "stale_versions": 0}
@@ -220,7 +216,7 @@ def get_artifact_cache() -> ArtifactCache:
 
 
 def configure_artifact_cache(root) -> ArtifactCache:
-    """Point the process-global cache at ``root`` (e.g. server startup).
+    """Point the process-global cache at ``root`` (e.g. ``--cache-dir``).
 
     Replaces the global instance; in-memory contents of the previous
     instance are dropped (they remain correct but re-warm on demand).

@@ -1,12 +1,10 @@
-"""Content addressing for the compile/experiment caches.
+"""Content addressing for the compiled-artifact cache.
 
-Every cache in the repository keys entries by *content*, never by name:
+The artifact cache keys entries by *content*, never by name:
 
 * :func:`code_version` — digest of the ``repro`` package sources; the
   on-disk artifact cache namespaces entries under it so a code change
   can never serve stale compiled artifacts;
-* :func:`dataset_digest` — digest of the synthetic-input generators
-  plus the input coordinates; part of every result-cache key;
 * :func:`kernel_fingerprint` — a canonical serialization of an
   annotated kernel's structure (refs, expression graph, statements,
   init-function sources), so editing a kernel in any observable way
@@ -39,41 +37,19 @@ def sha256_text(*parts: str) -> str:
     return h.hexdigest()
 
 
-@lru_cache(maxsize=8)
-def _tree_digest(root: str) -> str:
-    """Digest of every ``*.py`` file under ``root`` (sorted paths)."""
-    root_path = Path(root)
+@lru_cache(maxsize=1)
+def code_version() -> str:
+    """Digest of the ``repro`` package sources (this checkout): every
+    ``*.py`` file under the package, in sorted path order."""
+    import repro
+    root = Path(repro.__file__).resolve().parent
     h = hashlib.sha256()
-    for path in sorted(root_path.rglob("*.py")):
-        rel = path.relative_to(root_path).as_posix()
+    for path in sorted(root.rglob("*.py")):
         data = path.read_bytes()
-        h.update(rel.encode("utf-8"))
+        h.update(path.relative_to(root).as_posix().encode("utf-8"))
         h.update(str(len(data)).encode("ascii"))
         h.update(data)
     return h.hexdigest()
-
-
-@lru_cache(maxsize=1)
-def code_version() -> str:
-    """Digest of the ``repro`` package sources (this checkout)."""
-    import repro
-    return _tree_digest(str(Path(repro.__file__).resolve().parent))
-
-
-def dataset_digest(app: str, input_code: str, scale: float,
-                   seed: int) -> str:
-    """Content-address of one synthetic input.
-
-    The inputs are generated, not stored, so the digest covers the
-    generator code (``repro.datasets``) plus the generation
-    coordinates — cheaper than hashing the materialized arrays and
-    exactly as discriminating, because generation is deterministic.
-    """
-    import repro.datasets
-    generators = _tree_digest(
-        str(Path(repro.datasets.__file__).resolve().parent))
-    return sha256_text("dataset/v1", generators, app, input_code,
-                       repr(float(scale)), repr(int(seed)))
 
 
 # -- kernel fingerprinting -------------------------------------------------

@@ -51,15 +51,8 @@ Commands:
   manifest directories and flag cycle/blame/wall-time drifts beyond
   thresholds (exit 1 on failures). Committed baselines live under
   ``benchmarks/results/history/``.
-* ``serve [--port N] [--cache-dir DIR] [--workers N]`` — run the
-  experiment service: accepts JSON specs over HTTP, serves repeated
-  specs from a content-addressed result cache, deduplicates identical
-  in-flight submissions, streams progress events (``docs/service.md``).
-* ``submit SPEC.json [--host H] [--port N] [--out FILE]`` — submit one
-  spec to a running service; progress goes to stderr, the canonical
-  run manifest to stdout (or FILE).
-* ``cache stats|gc [--cache-dir DIR]`` — inspect or prune the local
-  result store and compiled-artifact cache.
+* ``cache stats|gc [--cache-dir DIR]`` — inspect or prune the
+  compiled-artifact cache (``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -73,7 +66,8 @@ from repro.config import SystemConfig
 from repro.core import ENGINES
 from repro.env import EnvKnobError
 from repro.frontend import FRONTEND_KERNELS, get_frontend
-from repro.harness import (SweepPoint, format_table, run_experiment,
+from repro.harness import (SweepPoint, build_cgra_program, format_table,
+                           prepare_input, resolve_config, run_experiment,
                            run_sweep, speedup_table)
 from repro.harness.report import bar_chart
 from repro.harness.run import APP_INPUTS, SYSTEMS, check_scale_seed
@@ -179,11 +173,10 @@ def cmd_inputs(args) -> int:
 
 def _traceable_system(args):
     from repro.core import System
-    from repro.harness.run import (_build_cgra_program, _system_config,
-                                   prepare_input as prep)
-    prepared = prep(args.app, args.input, scale=args.scale, seed=args.seed)
-    config = _system_config(args.app, SystemConfig())
-    program, _ = _build_cgra_program(prepared, config, "fifer", "decoupled")
+    prepared = prepare_input(args.app, args.input, scale=args.scale,
+                             seed=args.seed)
+    config = resolve_config(args.app, SystemConfig())
+    program, _ = build_cgra_program(prepared, config, "fifer", "decoupled")
     return System(config, program, mode="fifer")
 
 
@@ -583,81 +576,18 @@ def cmd_bench_diff(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_serve(args) -> int:
-    from repro.service import run_server
-    run_server(host=args.host, port=args.port, cache_root=args.cache_dir,
-               workers=args.workers)
-    return 0
-
-
-def cmd_submit(args) -> int:
-    from repro.service import ServiceClient, ServiceError
-    try:
-        if args.spec == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise SystemExit(f"cannot read {args.spec}: {exc}")
-    try:
-        spec = json.loads(text)
-    except ValueError as exc:
-        raise SystemExit(f"{args.spec}: not valid JSON ({exc})")
-
-    def on_event(event):
-        if args.quiet:
-            return
-        if event["event"] == "queued":
-            dedup = (" (joined an in-flight run)" if event.get("deduped")
-                     else "")
-            print(f"queued as {event['key'][:16]}…{dedup}", file=sys.stderr)
-        elif event["event"] == "phase":
-            print(f"  {event['phase']}", file=sys.stderr)
-
-    client = ServiceClient(host=args.host, port=args.port,
-                           timeout=args.timeout)
-    try:
-        outcome = client.submit(spec, on_event=on_event)
-    except ServiceError as exc:
-        raise SystemExit(f"service error: {exc}")
-    except OSError as exc:
-        raise SystemExit(
-            f"cannot reach the service at {args.host}:{args.port} ({exc}); "
-            f"start one with `repro serve`")
-    if not args.quiet:
-        source = ("result cache" if outcome.served_from_cache
-                  else f"simulation, {outcome.wall_time_s:.2f}s compute")
-        print(f"done (served from {source})", file=sys.stderr)
-    text = outcome.manifest_bytes.decode("utf-8")
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SystemExit(f"cannot write {args.out}: {exc}")
-        if not args.quiet:
-            print(f"manifest written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def cmd_cache(args) -> int:
     from pathlib import Path
     from repro.cache import (configure_artifact_cache, default_cache_root,
                              get_artifact_cache)
-    from repro.service.store import ResultStore
     root = Path(args.cache_dir) if args.cache_dir else default_cache_root()
     cache = (configure_artifact_cache(root) if args.cache_dir
              else get_artifact_cache())
-    store = ResultStore(root)
     if args.action == "stats":
-        document = {"root": str(root), "results": store.stats(),
-                    "artifacts": cache.stats()}
+        artifacts = cache.stats()
     else:  # gc
-        document = {"root": str(root), "results": store.gc(),
-                    "artifacts": cache.gc(all_versions=args.all)}
+        artifacts = cache.gc(all_versions=args.all)
+    document = {"root": str(root), "artifacts": artifacts}
     print(json.dumps(document, indent=2, sort_keys=True))
     return 0
 
@@ -844,34 +774,8 @@ def main(argv=None) -> int:
                         help="emit machine-readable findings")
     p_diff.set_defaults(func=cmd_bench_diff)
 
-    p_serve = sub.add_parser(
-        "serve", help="run the experiment service (cached, deduplicated)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8177,
-                         help="listen port (0 picks an ephemeral port)")
-    p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="result/artifact cache root (default: "
-                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    p_serve.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="concurrent simulations (default: CPUs - 1)")
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit one experiment spec to a running service")
-    p_submit.add_argument("spec", metavar="SPEC.json",
-                          help="JSON experiment spec file, or '-' for stdin")
-    p_submit.add_argument("--host", default="127.0.0.1")
-    p_submit.add_argument("--port", type=int, default=8177)
-    p_submit.add_argument("--timeout", type=float, default=600.0,
-                          metavar="SECONDS")
-    p_submit.add_argument("--out", default=None, metavar="FILE",
-                          help="write the manifest here (default: stdout)")
-    p_submit.add_argument("--quiet", action="store_true",
-                          help="suppress progress events on stderr")
-    p_submit.set_defaults(func=cmd_submit)
-
     p_cache = sub.add_parser(
-        "cache", help="inspect or prune the local experiment caches")
+        "cache", help="inspect or prune the compiled-artifact cache")
     p_cache.add_argument("action", choices=("stats", "gc"))
     p_cache.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="cache root (default: $REPRO_CACHE_DIR or "

@@ -4,8 +4,8 @@ Three layers keep warm paths free of source generation:
 
 1. the process-global :class:`~repro.cache.artifacts.ArtifactCache`
    stores generated *source text* under the ``codegen`` kind (JSON on
-   disk, ``code_version``-namespaced) — shared by the experiment
-   server, its pool workers, and CLI runs via ``REPRO_CACHE_DIR``;
+   disk, ``code_version``-namespaced) — shared by sweep workers and
+   CLI runs via ``REPRO_CACHE_DIR``;
 2. a process-local map caches the executed module's ``make_step``
    factory per shape key, so repeat binds skip parsing and ``exec``;
 3. binding itself (one ``make_step`` call) is per stage-instance and

@@ -115,7 +115,9 @@ class StageInstance:
     ctx: StageContext
     mapping: Any  # repro.cgra.mapper.Mapping
     config_addr: int  # where this stage's bitstream lives in memory
-    gen: Generator = field(default=None, repr=False)
+    # The stage coroutine, built on the first advance(): a stage that a
+    # compiled step-function drives never builds one.
+    gen: Optional[Generator] = field(default=None, repr=False)
     pending: Optional[tuple] = None
     started: bool = False
     done: bool = False
@@ -132,9 +134,6 @@ class StageInstance:
     step_fn: Optional[Callable[[float], float]] = field(default=None,
                                                        repr=False)
     cg: Optional[list] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.gen = self.spec.semantics(self.ctx)
 
     @property
     def name(self) -> str:
@@ -171,6 +170,7 @@ class StageInstance:
         try:
             if not self.started:
                 self.started = True
+                self.gen = self.spec.semantics(self.ctx)
                 self.pending = next(self.gen)
             else:
                 self.pending = self.gen.send(result)

@@ -132,9 +132,13 @@ class ExperimentResult:
 
 def prepare_input(app: str, code: str, scale: Optional[float] = None,
                   seed: int = 1) -> PreparedInput:
-    """Generate the synthetic input and its golden reference result."""
+    """Generate the synthetic input and its golden reference result.
+
+    Raises :class:`ValueError` naming the field for a scale or seed the
+    generators cannot honour (see :func:`check_scale_seed`)."""
     if scale is None:
         scale = default_scale(app, code)
+    check_scale_seed(scale, seed)
     if app in GRAPH_APPS:
         graph = make_graph(code, scale=scale, seed=seed)
         golden = {
@@ -186,7 +190,27 @@ def build_cgra_program(prepared: PreparedInput, config: SystemConfig,
     prepared input and config produce equivalent programs, which is
     what lets the artifact cache (split plans, stage-DFG mappings)
     reuse products across runs."""
-    return _build_cgra_program(prepared, config, mode, variant)
+    app, data = prepared.app, prepared.data
+    if app in GRAPH_APPS:
+        module = get_workload(app)
+        if app == "prd":
+            return module.build(data, config, mode, variant,
+                                max_iterations=PRD_MAX_ITERATIONS)
+        if app == "radii":
+            return module.build(data, config, mode, variant,
+                                max_iterations=RADII_MAX_ITERATIONS)
+        return module.build(data, config, mode, variant)
+    if app == "spmm":
+        matrix, rows, cols = data
+        n_stages = 4 if variant == "decoupled" else 1
+        from repro.workloads.common import shards_for_mode
+        n_shards = shards_for_mode(config, mode, n_stages)
+        workload = spmm_mod.SpMMWorkload(matrix, n_shards, rows, cols)
+        return workload.build_program(config, mode, variant), workload
+    if app == "silo":
+        tree, ops = data
+        return silo_mod.build(tree, ops, config, mode, variant)
+    raise ValueError(app)
 
 
 def simulate_cgra(program, config: SystemConfig, mode: str,
@@ -220,36 +244,6 @@ def simulate_cgra(program, config: SystemConfig, mode: str,
     if profiler is not None:
         run_profile = profiler.finalize(raw.pe_counters, raw.cycles)
     return raw, run_profile
-
-
-# Backwards-compatible private aliases (pre-service callers).
-def _system_config(app: str, base: Optional[SystemConfig]) -> SystemConfig:
-    return resolve_config(app, base)
-
-
-def _build_cgra_program(prepared: PreparedInput, config: SystemConfig,
-                        mode: str, variant: str):
-    app, data = prepared.app, prepared.data
-    if app in GRAPH_APPS:
-        module = get_workload(app)
-        if app == "prd":
-            return module.build(data, config, mode, variant,
-                                max_iterations=PRD_MAX_ITERATIONS)
-        if app == "radii":
-            return module.build(data, config, mode, variant,
-                                max_iterations=RADII_MAX_ITERATIONS)
-        return module.build(data, config, mode, variant)
-    if app == "spmm":
-        matrix, rows, cols = data
-        n_stages = 4 if variant == "decoupled" else 1
-        from repro.workloads.common import shards_for_mode
-        n_shards = shards_for_mode(config, mode, n_stages)
-        workload = spmm_mod.SpMMWorkload(matrix, n_shards, rows, cols)
-        return workload.build_program(config, mode, variant), workload
-    if app == "silo":
-        tree, ops = data
-        return silo_mod.build(tree, ops, config, mode, variant)
-    raise ValueError(app)
 
 
 def _ooo_kernel(prepared: PreparedInput, n_cores: int):
@@ -313,8 +307,8 @@ def analyze_workload(app: str, input_code: str, system: str = "fifer",
         scale = default_scale(app, input_code)
     if prepared is None:
         prepared = prepare_input(app, input_code, scale=scale, seed=seed)
-    sys_config = _system_config(app, config)
-    program, _workload = _build_cgra_program(
+    sys_config = resolve_config(app, config)
+    program, _workload = build_cgra_program(
         prepared, sys_config, system, variant)
     return analyze_program(program, sys_config, mode=system)
 
@@ -332,8 +326,7 @@ def run_experiment(app: str, input_code: str, system: str,
                    engine: str = "fast",
                    sanitize: bool = False,
                    profile: bool = False,
-                   codegen: Optional[bool] = None,
-                   on_phase=None) -> ExperimentResult:
+                   codegen: Optional[bool] = None) -> ExperimentResult:
     """Run one experiment; see module docstring for the system names.
 
     ``telemetry`` is an optional :class:`repro.stats.telemetry.EventBus`
@@ -351,11 +344,6 @@ def run_experiment(app: str, input_code: str, system: str,
     CGRA runs — blame matrix, critical path, what-if inputs — exposed
     as ``result.profile`` and, with ``manifest_dir``, summarized into
     the run manifest.
-    ``on_phase`` is an optional callable fired with a phase name as the
-    run advances — ``"preparing"`` (only when the input is generated
-    here), ``"compiling"``, ``"simulating"``, ``"verifying"`` — used by
-    the experiment service to stream progress; it never affects the
-    result.
     """
     from repro.core import ENGINES
     if system not in SYSTEMS:
@@ -365,8 +353,6 @@ def run_experiment(app: str, input_code: str, system: str,
     if scale is None and prepared is None:
         scale = default_scale(app, input_code)
     if prepared is None:
-        if on_phase is not None:
-            on_phase("preparing")
         prepared = prepare_input(app, input_code, scale=scale, seed=seed)
     if profile and system in ("serial", "multicore"):
         raise ValueError(
@@ -377,22 +363,14 @@ def run_experiment(app: str, input_code: str, system: str,
     t_start = time.perf_counter()
     if system in ("serial", "multicore"):
         n_cores = 1 if system == "serial" else 4
-        if on_phase is not None:
-            on_phase("compiling")
         kernel = _ooo_kernel(prepared, n_cores)
-        if on_phase is not None:
-            on_phase("simulating")
         raw = run_ooo(kernel, n_cores, ooo_config)
         energy = energy_model.ooo_energy(raw).as_dict()
         result = raw.result
     else:
         sys_config = resolve_config(app, config)
-        if on_phase is not None:
-            on_phase("compiling")
         program, _workload = build_cgra_program(
             prepared, sys_config, system, variant)
-        if on_phase is not None:
-            on_phase("simulating")
         raw, run_profile = simulate_cgra(
             program, sys_config, system, engine=engine,
             max_cycles=max_cycles, telemetry=telemetry,
@@ -400,8 +378,6 @@ def run_experiment(app: str, input_code: str, system: str,
         energy = energy_model.cgra_energy(raw).as_dict()
         result = raw.result
     wall_time_s = time.perf_counter() - t_start
-    if on_phase is not None:
-        on_phase("verifying")
     correct = _check(app, result, prepared.golden) if check else True
     if check and not correct:
         raise AssertionError(

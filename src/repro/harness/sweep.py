@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import os
-import traceback as traceback_mod
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.harness.run import (ExperimentResult, default_scale, prepare_input,
@@ -62,41 +61,6 @@ class SweepPoint:
                 f"/seed{self.seed}")
 
 
-@dataclass(frozen=True)
-class SweepPointError:
-    """A structured record of one point that raised.
-
-    With ``run_sweep(..., on_error="record")`` a failing point yields
-    one of these in the result list instead of poisoning the whole
-    sweep — the other points still complete and their manifests are
-    still written. The traceback is captured as text in the worker so
-    the record survives pickling back to the parent."""
-
-    label: str
-    app: str
-    input_code: str
-    system: str
-    variant: str
-    seed: int
-    error_type: str
-    message: str
-    traceback: str
-
-    def as_record(self) -> dict:
-        """JSON-ready dict (also embedded in the merged manifest)."""
-        return {
-            "label": self.label,
-            "app": self.app,
-            "input_code": self.input_code,
-            "system": self.system,
-            "variant": self.variant,
-            "seed": self.seed,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback": self.traceback,
-        }
-
-
 @lru_cache(maxsize=32)
 def _prepared_cached(app: str, code: str, scale: float, seed: int):
     """Per-process input cache: points that share an input (e.g. the
@@ -104,14 +68,10 @@ def _prepared_cached(app: str, code: str, scale: float, seed: int):
     return prepare_input(app, code, scale=scale, seed=seed)
 
 
-def run_point(point: SweepPoint, on_phase=None) -> ExperimentResult:
-    """Execute one point (in a worker process, inline, or under the
-    experiment service). ``on_phase`` is forwarded to
-    :func:`~repro.harness.run.run_experiment` for progress streaming."""
+def run_point(point: SweepPoint) -> ExperimentResult:
+    """Execute one point (in a worker process or inline)."""
     scale = (point.scale if point.scale is not None
              else default_scale(point.app, point.input_code))
-    if on_phase is not None:
-        on_phase("preparing")
     prepared = _prepared_cached(point.app, point.input_code, scale,
                                 point.seed)
     return run_experiment(point.app, point.input_code, point.system,
@@ -119,86 +79,48 @@ def run_point(point: SweepPoint, on_phase=None) -> ExperimentResult:
                           config=point.config, scale=scale, seed=point.seed,
                           max_cycles=point.max_cycles, check=point.check,
                           engine=point.engine, profile=point.profile,
-                          codegen=point.codegen, on_phase=on_phase)
+                          codegen=point.codegen)
 
 
-def _run_point(point: SweepPoint) -> ExperimentResult:
-    return run_point(point)
-
-
-def _run_point_recording(
-        point: SweepPoint) -> Union[ExperimentResult, SweepPointError]:
-    """Guarded worker: turn an exception into a SweepPointError so one
-    poisoned point cannot take down the rest of the pool's work."""
-    try:
-        return run_point(point)
-    except Exception as exc:
-        return SweepPointError(
-            label=point.label, app=point.app, input_code=point.input_code,
-            system=point.system, variant=point.variant, seed=point.seed,
-            error_type=type(exc).__name__, message=str(exc),
-            traceback=traceback_mod.format_exc())
-
-
-def merge_sweep_manifests(manifests: Sequence[dict],
-                          errors: Sequence[SweepPointError] = ()) -> dict:
+def merge_sweep_manifests(manifests: Sequence[dict]) -> dict:
     """Combine per-point manifests into one deterministic document.
 
     Volatile keys (timestamps, wall time) are stripped from every
     point, so the merged manifest of a given sweep is byte-identical
-    across repeats and across ``workers=1`` vs ``workers=N``. The
-    ``errors``/``n_errors`` keys appear only when a recorded-error
-    sweep actually had failures, so error-free sweeps keep their
-    historical byte-identical shape.
+    across repeats and across ``workers=1`` vs ``workers=N``.
     """
-    merged = {
+    return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "sweep",
         "n_points": len(manifests),
         "points": [strip_volatile(m) for m in manifests],
     }
-    if errors:
-        merged["n_errors"] = len(errors)
-        merged["errors"] = [e.as_record() for e in errors]
-    return merged
 
 
 def run_sweep(points: Sequence[SweepPoint], workers: Optional[int] = None,
-              manifest_dir=None, on_error: str = "raise") -> list:
+              manifest_dir=None) -> list:
     """Run every point and return results in input order.
 
     ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` (or a
     single point) runs inline with no pool. With ``manifest_dir`` set,
     the parent writes one manifest per point in input order plus a
-    merged ``sweep.json`` (overwritten, volatile keys stripped).
-
-    ``on_error`` selects failure handling: ``"raise"`` (default,
-    historical behavior) re-raises the first exception and abandons
-    the sweep; ``"record"`` captures each failing point as a
-    :class:`SweepPointError` at its position in the result list,
-    completes every other point, skips failed points when writing
-    manifests, and appends the error records to ``sweep.json``.
+    merged ``sweep.json`` (overwritten, volatile keys stripped). The
+    first point to raise abandons the sweep and re-raises.
     """
-    if on_error not in ("raise", "record"):
-        raise ValueError(
-            f"on_error must be 'raise' or 'record', not {on_error!r}")
     points = list(points)
-    worker_fn = _run_point if on_error == "raise" else _run_point_recording
     if workers is None:
         workers = os.cpu_count() or 1
     if workers <= 1 or len(points) <= 1:
-        results = [worker_fn(point) for point in points]
+        results = [run_point(point) for point in points]
     else:
         with ProcessPoolExecutor(max_workers=min(workers,
                                                  len(points))) as pool:
-            results = list(pool.map(worker_fn, points))
+            results = list(pool.map(run_point, points))
     if manifest_dir is not None:
-        ok = [r for r in results if isinstance(r, ExperimentResult)]
-        errors = [r for r in results if isinstance(r, SweepPointError)]
-        manifests = [build_manifest(result) for result in ok]
+        manifests = [build_manifest(result) for result in results]
         for manifest in manifests:
             write_manifest(manifest, manifest_dir)
-        merged = merge_sweep_manifests(manifests, errors=errors)
+        merged = merge_sweep_manifests(manifests)
         path = Path(manifest_dir) / "sweep.json"
         path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
     return results

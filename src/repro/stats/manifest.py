@@ -15,7 +15,6 @@ figures produced by ``benchmarks/`` carry manifests next to their
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import time
 from pathlib import Path
@@ -24,11 +23,6 @@ from typing import Optional
 # v2 adds the optional "profile" key (wait-for blame matrix and
 # critical-path attribution, repro.profiling); v1 manifests still load.
 MANIFEST_SCHEMA_VERSION = 2
-
-#: Version of the *cache-key* document hashed by :func:`manifest_key`.
-#: Bump it whenever the canonical spec shape changes meaning — every
-#: previously stored result then misses instead of aliasing.
-CACHE_KEY_SCHEMA_VERSION = 1
 
 #: Keys that legitimately differ between two runs of the same
 #: (config, seed) point: the wall-clock timestamp and host speed.
@@ -46,43 +40,11 @@ def canonical_json(document) -> str:
 
     Sorted keys, two-space indent, trailing newline — the exact bytes
     :func:`write_manifest` produces and the byte-identity contracts
-    (seed determinism, the service result cache) compare. ``NaN`` and
-    infinities are rejected: they round-trip ambiguously.
+    (seed determinism, codegen parity) compare. ``NaN`` and infinities
+    are rejected: they round-trip ambiguously.
     """
     return json.dumps(document, indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-
-
-def manifest_key(spec: dict, extra: Optional[dict] = None) -> str:
-    """Deterministic content-address of one experiment spec.
-
-    Pure function: hashes the sorted-keys compact JSON of ``spec``
-    wrapped in a document that carries an explicit key-schema version,
-    so the key changes when any spec field changes *and* when the key
-    format itself is revised. ``extra`` folds additional provenance
-    (e.g. a dataset digest or code version) into the same hash under a
-    separate namespace so it can never collide with spec fields.
-
-    The experiment service and the result store key everything through
-    here — never hash specs ad hoc.
-
-    Raises ``TypeError`` if ``spec``/``extra`` contain anything that
-    does not serialize canonically to JSON (including NaN/inf, whose
-    text form is not portable).
-    """
-    if not isinstance(spec, dict):
-        raise TypeError(f"manifest_key takes a spec dict, got "
-                        f"{type(spec).__name__}")
-    document = {"key_schema": CACHE_KEY_SCHEMA_VERSION, "spec": spec}
-    if extra:
-        document["extra"] = dict(extra)
-    try:
-        payload = json.dumps(document, sort_keys=True,
-                             separators=(",", ":"), allow_nan=False)
-    except (TypeError, ValueError) as exc:
-        raise TypeError(
-            f"spec is not canonically JSON-serializable: {exc}") from None
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def build_manifest(result, created: Optional[float] = None) -> dict:

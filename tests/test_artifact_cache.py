@@ -9,15 +9,16 @@ Locks the tentpole properties of :mod:`repro.cache`:
   function — changes its fingerprint, so the cache misses instead of
   serving a stale plan;
 * the disk layer survives process boundaries (modeled as fresh cache
-  instances), tolerates corruption, and namespaces by code version.
+  instances), tolerates corruption, and namespaces by code version;
+* ``repro cache stats|gc`` reports and prunes the disk layer.
 """
 
+import json
+
 import numpy as np
-import pytest
 
 from repro.cache import (ArtifactCache, callable_fingerprint,
-                         code_version, dataset_digest, kernel_fingerprint,
-                         mapping_key)
+                         code_version, kernel_fingerprint, mapping_key)
 from repro.cgra import FabricSpec, map_dfg, map_dfg_cached
 from repro.config import FabricConfig
 from repro.frontend.kernel import GraphKernel
@@ -112,14 +113,6 @@ class TestFingerprints:
                 != mapping_key(_dfg(), small, None))
         assert (mapping_key(_dfg(), fabric, 2)
                 != mapping_key(_dfg(), fabric, None))
-
-    def test_dataset_digest_tracks_coordinates(self):
-        base = dataset_digest("bfs", "Hu", 0.35, 1)
-        assert base == dataset_digest("bfs", "Hu", 0.35, 1)
-        assert base != dataset_digest("bfs", "Hu", 0.35, 2)
-        assert base != dataset_digest("bfs", "Hu", 0.36, 1)
-        assert base != dataset_digest("bfs", "Dy", 0.35, 1)
-        assert base != dataset_digest("cc", "Hu", 0.35, 1)
 
     def test_code_version_is_stable_hex(self):
         assert code_version() == code_version()
@@ -267,5 +260,29 @@ class TestDescribeCached:
             fresh = configure_artifact_cache(tmp_path)
             assert describe_cached("sssp") == direct
             assert fresh.counters["describe.disk_hit"] == 1
+        finally:
+            configure_artifact_cache(None)
+
+
+class TestCacheCli:
+    def test_stats_and_gc(self, tmp_path, monkeypatch, capsys):
+        from repro.cache import configure_artifact_cache
+        from repro.cli import main as cli_main
+
+        def cache_cli(*argv):
+            assert cli_main(["cache", *argv,
+                             "--cache-dir", str(tmp_path)]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        configure_artifact_cache(tmp_path)
+        try:
+            assert cli_main(["compile", "sssp", "--json"]) == 0
+            capsys.readouterr()
+            stats = cache_cli("stats")
+            assert set(stats) == {"root", "artifacts"}
+            assert stats["artifacts"]["disk"]["entries"] > 0
+            assert cache_cli("gc", "--all")["artifacts"]["removed_dirs"] == 1
+            assert cache_cli("stats")["artifacts"]["disk"]["entries"] == 0
         finally:
             configure_artifact_cache(None)

@@ -41,7 +41,6 @@ _BENCHES = [
     ("bench_scaling", "run_scaling", "scaling", True),
     ("bench_scheduler_policy", "run_scheduler_policy", "scheduler_policy",
      True),
-    ("bench_service_cache", "run_service_cache", "service_cache", True),
     ("bench_simd_ablation", "run_simd_ablation", "simd_ablation", True),
     ("bench_table1_area", "run_table1", "table1_area", False),
     ("bench_table5_residence", "run_table5", "table5_residence", True),

@@ -130,9 +130,9 @@ class TestCaching:
         assert fresh.counters["codegen.disk_hit"] == 1
 
     def test_warm_bind_generates_nothing(self, bfs_prepared, monkeypatch):
-        """After one codegen run, rebinding (the warm service-submit
-        path) must not emit source: the raising stub proves neither the
-        artifact cache nor the factory cache falls through."""
+        """After one codegen run, rebinding (a repeat run in the same
+        process) must not emit source: the raising stub proves neither
+        the artifact cache nor the factory cache falls through."""
         run_experiment("bfs", "Hu", "fifer", prepared=bfs_prepared,
                        codegen=True)
         def boom(_shape):
@@ -207,6 +207,29 @@ class TestFallback:
         system.run(codegen=False)
         assert all(s.step_fn is None
                    for pe in system.pes for s in pe.stages)
+
+    @pytest.mark.parametrize("mode", ["static", "fifer"])
+    def test_bound_stages_build_no_coroutine(self, bfs_prepared, mode):
+        """A stage its step-function drives never builds the interpreted
+        coroutine, so a finished System holds no unrun generator whose
+        close() would enter workload code when the collector frees it."""
+        from repro.config import SystemConfig
+        from repro.core import System
+        from repro.workloads import bfs as bfs_mod
+
+        def run(codegen):
+            program, _workload = bfs_mod.build(bfs_prepared.data,
+                                               SystemConfig(), mode)
+            system = System(SystemConfig(), program, mode=mode)
+            return system, system.run(codegen=codegen)
+
+        system, compiled = run(True)
+        bound = [s for pe in system.pes for s in pe.stages
+                 if s.step_fn is not None]
+        assert len(bound) == compiled.engine_stats["codegen_stages"] > 0
+        assert all(s.gen is None for s in bound)
+        _system, interp = run(False)
+        assert compiled.cycles == interp.cycles
 
 
 # -- the IR walker the binder cross-checks against ------------------------

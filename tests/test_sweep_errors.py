@@ -1,19 +1,8 @@
-"""Structured per-point error records in the sweep runner.
-
-``run_sweep(..., on_error="record")`` must isolate a poisoned point:
-every other point still completes (in input order), the failure
-arrives as a :class:`SweepPointError` carrying enough context to
-reproduce it, manifests are written only for the successes, and the
-merged ``sweep.json`` gains ``errors`` keys *only* when something
-failed — error-free sweeps keep their historical byte shape.
-"""
-
-import json
+"""A failing sweep point is fatal: ``run_sweep`` re-raises it."""
 
 import pytest
 
-from repro.harness import (ExperimentResult, SweepPoint, SweepPointError,
-                           merge_sweep_manifests, run_sweep)
+from repro.harness import SweepPoint, run_sweep
 
 _SCALE = 0.05
 
@@ -21,52 +10,8 @@ _GOOD = SweepPoint("bfs", "Hu", "fifer", scale=_SCALE)
 # an unknown variant passes SweepPoint construction but explodes in
 # the workload build, i.e. deep inside the worker
 _POISONED = SweepPoint("bfs", "Hu", "fifer", variant="bogus", scale=_SCALE)
-_GOOD2 = SweepPoint("cc", "Hu", "fifer", scale=_SCALE)
 
 
 def test_default_behavior_still_raises():
     with pytest.raises(Exception):
         run_sweep([_GOOD, _POISONED], workers=1)
-
-
-def test_invalid_on_error_rejected():
-    with pytest.raises(ValueError):
-        run_sweep([_GOOD], workers=1, on_error="ignore")
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_poisoned_point_is_recorded_not_fatal(workers):
-    results = run_sweep([_GOOD, _POISONED, _GOOD2], workers=workers,
-                        on_error="record")
-    assert isinstance(results[0], ExperimentResult)
-    assert isinstance(results[1], SweepPointError)
-    assert isinstance(results[2], ExperimentResult)
-    error = results[1]
-    assert error.app == "bfs" and error.variant == "bogus"
-    assert error.error_type == "ValueError"
-    assert error.label == _POISONED.label
-    assert "bogus" in error.traceback or error.traceback
-    record = error.as_record()
-    assert record["error_type"] == "ValueError"
-    json.dumps(record)  # records must be JSON-serializable as-is
-
-
-def test_recorded_errors_reach_the_merged_manifest(tmp_path):
-    run_sweep([_GOOD, _POISONED], workers=1, on_error="record",
-              manifest_dir=tmp_path)
-    merged = json.loads((tmp_path / "sweep.json").read_text())
-    assert merged["n_points"] == 1  # only the success has a manifest
-    assert merged["n_errors"] == 1
-    assert merged["errors"][0]["label"] == _POISONED.label
-    # per-point manifests exist only for successful points
-    point_files = [p for p in tmp_path.glob("*.json")
-                   if p.name != "sweep.json"]
-    assert len(point_files) == 1
-
-
-def test_error_free_sweeps_keep_their_shape(tmp_path):
-    run_sweep([_GOOD], workers=1, on_error="record", manifest_dir=tmp_path)
-    merged = json.loads((tmp_path / "sweep.json").read_text())
-    assert "errors" not in merged and "n_errors" not in merged
-    # and merge_sweep_manifests defaults identically
-    assert "errors" not in merge_sweep_manifests([])

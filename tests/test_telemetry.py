@@ -15,8 +15,9 @@ from repro.harness import run_experiment
 from repro.stats.counters import Counters
 from repro.stats.cpi_stack import CPI_BUCKETS, cpi_stack, merge_stacks
 from repro.stats.manifest import (MANIFEST_SCHEMA_VERSION, build_manifest,
-                                  load_manifest, load_manifests,
-                                  summarize_manifests, write_manifest)
+                                  canonical_json, load_manifest,
+                                  load_manifests, summarize_manifests,
+                                  write_manifest)
 from repro.stats.telemetry import (EventBus, JsonlSink, PeriodicSampler,
                                    RecordingSink, TelemetryEvent,
                                    chrome_trace)
@@ -383,6 +384,13 @@ class TestManifests:
         assert manifest["system"] == "multicore"
         assert manifest["instructions"] > 0
         assert "config" not in manifest  # analytic model has no SystemConfig
+
+    def test_canonical_json_shape(self):
+        text = canonical_json({"b": 1, "a": [1.5, True, None]})
+        assert text == ('{\n  "a": [\n    1.5,\n    true,\n    null\n  ],\n'
+                        '  "b": 1\n}\n')
+        with pytest.raises(ValueError):
+            canonical_json({"x": float("inf")})
 
     def test_run_experiment_accepts_telemetry(self):
         bus = EventBus()

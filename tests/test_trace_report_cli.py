@@ -167,9 +167,9 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["run", "sorting", "Hu"])
 
-    #: Malformed input coordinates as (argv, spec field, spec value).
-    #: Every argv exits 2 with one ``repro`` error line and no
-    #: traceback, and canonicalize_spec rejects the same value.
+    #: Malformed input coordinates as (argv, field, value). Every argv
+    #: exits 2 with one ``repro`` error line and no traceback, and
+    #: ``prepare_input`` rejects the same value with a ValueError.
     BAD_SCALE_SEED = [
         (["run", "bfs", "Hu", "--scale", "0"], "scale", 0.0),
         (["run", "bfs", "Hu", "--scale", "-1"], "scale", -1.0),
@@ -185,7 +185,7 @@ class TestCLI:
                              ids=[" ".join(case[0])
                                   for case in BAD_SCALE_SEED])
     def test_bad_scale_seed_rejected(self, argv, field, value, capsys):
-        from repro.service import SpecError, canonicalize_spec
+        from repro.harness import APP_INPUTS, prepare_input
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
         assert excinfo.value.code == 2
@@ -194,6 +194,6 @@ class TestCLI:
                   if line.startswith("repro")]
         assert len(errors) == 1 and field in errors[0], err
         assert "Traceback" not in err
-        with pytest.raises(SpecError, match=field):
-            canonicalize_spec({"app": "bfs", "input_code": "Hu",
-                               "system": "fifer", field: value})
+        app = argv[1]
+        with pytest.raises(ValueError, match=field):
+            prepare_input(app, APP_INPUTS[app][0], **{field: value})
