@@ -1,4 +1,4 @@
-"""Deterministic Python source generation for pipeline stages.
+"""Deterministic Python source generation for pipeline stages and DRMs.
 
 Each of the four decoupled graph-pipeline stage shapes (S0 process
 fringe, S1 enumerate neighbors, S2 fetch values, S3 update — paper
@@ -32,6 +32,12 @@ embeds queue names, shard ids, or addresses (those bind at
 ``make_step`` time) — so one cached artifact serves every shard of
 every workload with the same shape. See :mod:`repro.codegen.runtime`
 for caching and binding.
+
+DRMs compile the same way, one step-function per :class:`DrmShape`
+(:func:`drm_source`), replaying the interpreted ``DRM.run`` ladder.
+Both emitters assemble their hot paths from the same fragment
+functions for the queue transfer, the L1-hit path and the memory-map
+read, so each inlined primitive has one source text.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from repro.cache.content import sha256_text
 # Bump when the emitted code changes in any way that should invalidate
 # cached sources independently of the surrounding package (the on-disk
 # artifact cache is additionally namespaced by code_version()).
-CODEGEN_VERSION = "3"
+CODEGEN_VERSION = "4"
 
 ROLES = ("s0", "s1", "s2", "s3")
 
@@ -67,11 +73,68 @@ class StageShape:
             raise ValueError(
                 f"unknown codegen role {self.role!r}; choose from {ROLES}")
 
+    @property
+    def name(self) -> str:
+        """Label of the generated code (``<repro.codegen:NAME>``)."""
+        return self.role
+
     def key(self) -> str:
         """Content-address of the source this shape emits."""
         return sha256_text("codegen/v" + CODEGEN_VERSION, self.role,
                            repr(bool(self.simple_edges)),
                            repr(bool(self.trivial_vp)))
+
+
+#: DRM modes with a generated step-function; strided DRMs keep the
+#: interpreted ladder of :class:`repro.core.drm.DRM`.
+DRM_MODES = ("deref", "scan")
+
+
+@dataclass(frozen=True)
+class DrmShape:
+    """Everything a generated DRM step-function depends on.
+
+    ``width`` addresses per dereference token, ``payload`` a tag-along
+    tail, ``routed`` a per-token output queue chosen by the spec's
+    ``route`` callable; ``credited_out`` / ``credited_in`` say whether
+    the output targets / the input queue use credit-based flow control
+    (Sec. 5.6). A scanning DRM is one shape per flow-control pair.
+    """
+
+    mode: str
+    width: int = 1
+    payload: bool = False
+    routed: bool = False
+    credited_out: bool = False
+    credited_in: bool = False
+
+    def __post_init__(self):
+        if self.mode not in DRM_MODES:
+            raise ValueError(
+                f"unknown DRM codegen mode {self.mode!r}; choose from "
+                f"{DRM_MODES}")
+        if self.width < 1:
+            raise ValueError(f"DRM width must be positive, got {self.width}")
+        if self.mode == "scan" and (self.width != 1 or self.payload
+                                    or self.routed):
+            raise ValueError("a scanning DRM has no width, payload or route")
+
+    @property
+    def name(self) -> str:
+        """Label of the generated code (``<repro.codegen:NAME>``)."""
+        parts = ["drm", self.mode]
+        if self.mode == "deref":
+            parts.append(f"w{self.width}")
+        for flag, tag in ((self.payload, "payload"), (self.routed, "routed"),
+                          (self.credited_out, "cout"),
+                          (self.credited_in, "cin")):
+            if flag:
+                parts.append(tag)
+        return ".".join(parts)
+
+    def key(self) -> str:
+        """Content-address of the source this shape emits."""
+        return sha256_text("codegen/v" + CODEGEN_VERSION, self.name)
 
 
 # -- emission helpers --------------------------------------------------------
@@ -80,12 +143,109 @@ class StageShape:
 # fragment mirrors a specific piece of the interpreted hot path
 # (PE._try_perform / PE._execute / StageInstance.io_cost / Queue.enq /
 # Queue.deq) — comments below name the mirrored code so drift is
-# auditable. The emitted text contains no ``{``/``}`` so f-string
-# assembly stays safe.
+# auditable. The stage templates are f-strings, so the text they emit
+# contains no ``{``/``}``.
 
 
 def _pad(indent: int) -> str:
     return " " * indent
+
+
+# -- shared primitives -------------------------------------------------------
+#
+# One source text per inlined primitive: the stage emitter and the DRM
+# emitter both build their hot paths from these three. Each takes its
+# queue by prefix ``q`` and expects the bind-time locals ``q_<q>``,
+# ``<q>_tok``, ``<q>_credits`` and ``<Q>_NAME``.
+
+
+def _credit(pad: str, q: str, producer: str, op: str, words: str,
+            credited) -> list:
+    """The credit bookkeeping of Queue.enq (``-=``) / Queue.deq (``+=``).
+    ``credited`` fixes the queue's flow-control arm at emission time;
+    ``None`` keeps the queue methods' runtime ``_credits`` test."""
+    if credited is None:
+        return [f"{pad}if {q}_credits is not None:",
+                f"{pad}    {q}_credits[{producer}] {op} {words}"]
+    return [f"{pad}{q}_credits[{producer}] {op} {words}"] if credited else []
+
+
+def _queue_deq(indent: int, q: str, words: str, credited=None) -> list:
+    """Queue.deq's transfer, minus the emptiness raise the caller's gate
+    already ruled out: pop the head into ``token``, release ``tw``
+    (``words``, evaluated after the pop so it may inspect ``token``),
+    refund the producer's credit, probe."""
+    pad = _pad(indent)
+    return [
+        f"{pad}token = {q}_tok.popleft()",
+        f"{pad}tw = {words}",
+        f"{pad}q_{q}._occupancy_words -= tw",
+        *_credit(pad, q, "token.producer", "+=", "tw", credited),
+        f"{pad}qp = q_{q}.probe",
+        f'{pad}if qp is not None and "queue.deq" in qp.bus.wants:',
+        f'{pad}    qp.emit("queue.deq", queue={q.upper()}_NAME, words=tw,',
+        f"{pad}            occupancy=q_{q}._occupancy_words)",
+    ]
+
+
+def _queue_enq(indent: int, q: str, value: str, ctl: str, words: str,
+               credited=None, reuse: bool = False) -> list:
+    """Queue.enq's transfer, minus the full-queue raise the caller's gate
+    already ruled out: credit debit, token append, occupancy,
+    total_enqueued, probe. ``reuse`` refills the just-dequeued data
+    ``token`` instead of allocating one (nothing else holds it)."""
+    pad = _pad(indent)
+    if reuse:
+        append = [f"{pad}token.value = {value}",
+                  f"{pad}token.producer = producer",
+                  f"{pad}{q}_tok.append(token)"]
+    else:
+        append = [f"{pad}{q}_tok.append(Token({value}, {ctl}, producer))"]
+    return [
+        *_credit(pad, q, "producer", "-=", words, credited),
+        *append,
+        f"{pad}q_{q}._occupancy_words += {words}",
+        f"{pad}q_{q}.total_enqueued += 1",
+        f"{pad}qp = q_{q}.probe",
+        f'{pad}if qp is not None and "queue.enq" in qp.bus.wants:',
+        f'{pad}    qp.emit("queue.enq", queue={q.upper()}_NAME, '
+        f"words={words},",
+        f"{pad}            occupancy=q_{q}._occupancy_words, control={ctl})",
+    ]
+
+
+def _l1_hit(indent: int, addr: str, hits: str = "l1.hits",
+            write: bool = False) -> list:
+    """The head of Cache.access's L1-hit path, verbatim: the set lookup,
+    the hit count and the LRU move-to-MRU (write-allocate dirty marking
+    for stores). It opens an ``if``: the caller finishes the hit arm and
+    writes the ``else:`` that takes the full method on a miss."""
+    pad = _pad(indent)
+    mru = ([f"{pad}    cset.pop(line)", f"{pad}    cset[line] = True"]
+           if write else [f"{pad}    cset[line] = cset.pop(line)"])
+    return [
+        f"{pad}line = {addr} >> l1_shift",
+        f"{pad}cset = l1_sets[line & l1_mask]",
+        f"{pad}if line in cset:",
+        f"{pad}    {hits} += 1",
+        *mru,
+    ]
+
+
+def _region_read(indent: int, slot: int, addr: str, out: str) -> list:
+    """MemoryMap.read, with its one-entry locality cache kept per address
+    slot in the closure cells ``lo<slot>``/``hi``/``eb``/``arr``: a hit
+    indexes the region's array exactly as read() does; a miss calls
+    read() and adopts the region it resolved (``MemoryMap._last``)."""
+    pad = _pad(indent)
+    s = slot
+    return [
+        f"{pad}if lo{s} <= {addr} < hi{s}:",
+        f"{pad}    {out} = arr{s}[({addr} - lo{s}) // eb{s}]",
+        f"{pad}else:",
+        f"{pad}    {out} = read({addr})",
+        f"{pad}    lo{s}, hi{s}, eb{s}, _, arr{s} = mm._last",
+    ]
 
 
 def _flush_counters(indent: int, reset: bool = False) -> str:
@@ -148,24 +308,13 @@ def _deq_site(indent: int, q: str, pc: int, pending: str, extra=()) -> str:
     The budget/emptiness gate and the cost accounting mirror
     PE._try_perform's "deq" arm (StageInstance.io_cost open-coded
     against the bind-time constants ctl_inc / inv_r); the token
-    transfer itself is Queue.deq verbatim — occupancy, credit refund,
-    probe — minus only the emptiness re-raise the gate already rules
-    out.
+    transfer itself is :func:`_queue_deq`.
     """
     pad = _pad(indent)
     return "\n".join([
         f"{pad}if spent >= budget or not {q}_tok:",
         _save(indent + 4, pc, pending, extra),
-        # -- Queue.deq --
-        f"{pad}token = {q}_tok.popleft()",
-        f"{pad}tw = 1 if token.is_control else {q}_words",
-        f"{pad}q_{q}._occupancy_words -= tw",
-        f"{pad}if {q}_credits is not None:",
-        f"{pad}    {q}_credits[token.producer] += tw",
-        f"{pad}qp = q_{q}.probe",
-        f'{pad}if qp is not None and "queue.deq" in qp.bus.wants:',
-        f'{pad}    qp.emit("queue.deq", queue={q.upper()}_NAME, words=tw,',
-        f"{pad}            occupancy=q_{q}._occupancy_words)",
+        *_queue_deq(indent, q, f"1 if token.is_control else {q}_words"),
         # -- io_cost + counters (PE._try_perform "deq") --
         f"{pad}if token.is_control:",
         f"{pad}    top = (wd if wd >= we else we) + ctl_inc",
@@ -194,9 +343,7 @@ def _enq_site(indent: int, q: str, value: str, control: bool,
     pipeline-internal edge) gate on Queue.can_enq's uncredited arm
     verbatim — a pure occupancy comparison; credited queues route
     through the can_enq method so the credit_stall probe fires
-    identically. The transfer mirrors Queue.enq (credit debit, token
-    append, occupancy, total_enqueued, probe) minus only the
-    full-queue re-raise the gate already rules out; the io_cost arm
+    identically. The transfer is :func:`_queue_enq`; the io_cost arm
     (control vs data) is selected at emission time.
     """
     pad = _pad(indent)
@@ -210,17 +357,7 @@ def _enq_site(indent: int, q: str, value: str, control: bool,
         _save(indent + 8, pc, pending, extra),
         f"{pad}elif not {q}_can(producer, {ctl}):",
         _save(indent + 4, pc, pending, extra),
-        # -- Queue.enq --
-        f"{pad}if {q}_credits is not None:",
-        f"{pad}    {q}_credits[producer] -= {words}",
-        f"{pad}{q}_tok.append(Token({value}, {ctl}, producer))",
-        f"{pad}q_{q}._occupancy_words += {words}",
-        f"{pad}q_{q}.total_enqueued += 1",
-        f"{pad}qp = q_{q}.probe",
-        f'{pad}if qp is not None and "queue.enq" in qp.bus.wants:',
-        f'{pad}    qp.emit("queue.enq", queue={q.upper()}_NAME, '
-        f"words={words},",
-        f"{pad}            occupancy=q_{q}._occupancy_words, control={ctl})",
+        *_queue_enq(indent, q, value, ctl, words),
     ]
     # -- io_cost + counters (PE._try_perform "enq") --
     if control:
@@ -265,29 +402,19 @@ def _subgen_loop(indent: int, pc: int) -> str:
         f"{pad}    if spent >= budget:",
         _save(indent + 8, pc, "req"),
         f"{pad}    kind = req[0]",
-        # Cache.access's L1-hit path verbatim (write-allocate dirty
-        # marking and LRU move-to-MRU included); misses take the full
-        # method. A hit's latency equals l1_lat, so stall is zero.
+        # Misses take the full Cache.access; a hit's latency equals
+        # l1_lat, so its stall is zero.
         f'{pad}    if kind == "store":',
         f"{pad}        a = req[1]",
-        f"{pad}        line = a >> l1_shift",
-        f"{pad}        cset = l1_sets[line & l1_mask]",
-        f"{pad}        if line in cset:",
-        f"{pad}            l1.hits += 1",
-        f"{pad}            cset.pop(line)",
-        f"{pad}            cset[line] = True",
+        *_l1_hit(indent + 8, "a", write=True),
         f"{pad}        else:",
         f"{pad}            l1_access(a, write=True)",
         f"{pad}        res = None",
         f"{pad}        cost = 0.0",
         f'{pad}    elif kind == "load":',
         f"{pad}        a = req[1]",
-        f"{pad}        line = a >> l1_shift",
-        f"{pad}        cset = l1_sets[line & l1_mask]",
         f"{pad}        res = None",
-        f"{pad}        if line in cset:",
-        f"{pad}            l1.hits += 1",
-        f"{pad}            cset[line] = cset.pop(line)",
+        *_l1_hit(indent + 8, "a"),
         f"{pad}            cost = 0.0",
         f"{pad}        else:",
         f"{pad}            stall = l1_access(a) - l1_lat",
@@ -341,10 +468,17 @@ def _finish(indent: int) -> str:
     ])
 
 
-def _bind_in_queue(q: str, key: str) -> str:
-    """Dequeue-side bindings for queue prefix ``q``."""
+def _pe_queue(key: str) -> str:
+    """The expression a stage step-function resolves binding ``key``
+    with (the queue names live in the bindings, not in the source)."""
+    return f'pe._queue(b["{key}"])'
+
+
+def _bind_in_queue(q: str, queue: str) -> str:
+    """Dequeue-side bindings for queue prefix ``q``; ``queue`` is the
+    expression that yields the queue at bind time."""
     return "\n".join([
-        f'    q_{q} = pe._queue(b["{key}"])',
+        f"    q_{q} = {queue}",
         f"    {q}_tok = q_{q}._tokens",
         f"    {q}_words = q_{q}.entry_words",
         f"    {q}_credits = q_{q}._credits",
@@ -352,15 +486,12 @@ def _bind_in_queue(q: str, key: str) -> str:
     ])
 
 
-def _bind_out_queue(q: str, key: str) -> str:
-    """Enqueue-side bindings for queue prefix ``q``."""
+def _bind_out_queue(q: str, queue: str) -> str:
+    """Enqueue-side bindings: the dequeue side's plus capacity and
+    can_enq."""
     return "\n".join([
-        f'    q_{q} = pe._queue(b["{key}"])',
-        f"    {q}_tok = q_{q}._tokens",
-        f"    {q}_words = q_{q}.entry_words",
-        f"    {q}_credits = q_{q}._credits",
+        _bind_in_queue(q, queue),
         f"    {q}_can = q_{q}.can_enq",
-        f"    {q.upper()}_NAME = q_{q}.name",
         f"    {q.upper()}_CAP = q_{q}.capacity_words",
     ])
 
@@ -414,10 +545,10 @@ def _emit_s0(shape: StageShape) -> str:
     enq_scan = '("enq", FR_NAME, scan, False)'
     enq_off = '("enq", OUT_NAME, value, False)'
     body = f'''\
-{_bind_in_queue("in", "q_in")}
-{_bind_out_queue("fr", "q_fr_in")}
-{_bind_in_queue("fro", "q_fr_out")}
-{_bind_out_queue("out", "q_out")}
+{_bind_in_queue("in", _pe_queue("q_in"))}
+{_bind_out_queue("fr", _pe_queue("q_fr_in"))}
+{_bind_in_queue("fro", _pe_queue("q_fr_out"))}
+{_bind_out_queue("out", _pe_queue("q_out"))}
     END_ITER = b["END_ITER"]
     offsets_ref = workload.offsets_ref
     offsets_addr = offsets_ref.addr
@@ -553,8 +684,8 @@ def _emit_s1(shape: StageShape) -> str:
 {post_vp}
 '''
     body = f'''\
-{_bind_in_queue("in", "q_in")}
-{_bind_out_queue("out", "q_out")}
+{_bind_in_queue("in", _pe_queue("q_in"))}
+{_bind_out_queue("out", _pe_queue("q_out"))}
     neighbors_ref = workload.neighbors_ref
     neighbors_addr = neighbors_ref.addr
     ngh_base = neighbors_ref._base
@@ -637,8 +768,8 @@ def _emit_s2(shape: StageShape) -> str:
             "parts[-1]))",
         ])
     body = f'''\
-{_bind_in_queue("in", "q_in")}
-{_bind_out_queue("out", "q_out")}
+{_bind_in_queue("in", _pe_queue("q_in"))}
+{_bind_out_queue("out", _pe_queue("q_out"))}
     value_addr = workload.value_addr
     s2_payload = workload.s2_payload
     REQ_DEQ_IN = ("deq", IN_NAME)
@@ -691,8 +822,8 @@ def _emit_s2(shape: StageShape) -> str:
 def _emit_s3(shape: StageShape) -> str:
     enq_done = '("enq", BAR_NAME, BARRIER_DONE, True)'
     body = f'''\
-{_bind_in_queue("in", "q_in")}
-{_bind_out_queue("bar", "q_barrier")}
+{_bind_in_queue("in", _pe_queue("q_in"))}
+{_bind_out_queue("bar", _pe_queue("q_barrier"))}
     n_shards = ctx.n_shards
     s3_update = workload.s3_update
     BARRIER_DONE = ("done", shard)
@@ -765,4 +896,252 @@ def stage_source(shape: StageShape) -> str:
     # The emitted module must always parse — catch template drift at
     # generation time, not at bind time deep inside a run.
     compile(source, f"<repro.codegen:{shape.role}>", "exec")
+    return source
+
+
+# -- DRM step-functions ------------------------------------------------------
+#
+# A DRM step-function replays DRM.run — the interpreted _step_* ladder —
+# for one DrmShape: the same float operations in the same order (spent
+# and miss_stall_cycles accumulate per token, busy_cycles once per
+# call), the same probe guards, the same event order. Loads, miss stall
+# and L1 hits ride in locals flushed at every exit; control tokens take
+# the ladder's _step_control.
+
+
+_DRM_PREAMBLE = '''\
+from repro.queues.queue import Token
+
+
+def make_step(drm):
+    producer = drm.producer_key
+    l1 = drm.l1
+    l1_access = l1.access
+    l1_lat = l1._latency
+    l1_sets = l1._sets
+    l1_shift = l1._line_shift
+    l1_mask = l1._set_mask
+    drm_lat = drm.l1_latency
+    max_out = drm.max_outstanding
+    inv_issue = drm._inv_issue
+    mm = drm.memmap
+    read = mm.read
+    step_control = drm._step_control
+    DRM_NAME = drm.spec.name
+    pe_id = drm.pe_id
+'''
+
+
+def _drm_header(shape: DrmShape) -> str:
+    return (
+        "# Generated by repro.codegen — specialized DRM step-function.\n"
+        f"# shape: {shape.name} v={CODEGEN_VERSION}\n"
+        "# Do not edit: regenerate via repro.codegen.emit.drm_source.\n"
+    )
+
+
+def _drm_blocked(indent: int, queue: str) -> list:
+    """DRM.run's blocked exit: the drm.blocked probe, then leave."""
+    pad = _pad(indent)
+    return [
+        f"{pad}dp = drm.probe",
+        f'{pad}if dp is not None and "drm.blocked" in dp.bus.wants:',
+        f'{pad}    dp.emit("drm.blocked", drm=DRM_NAME, pe=pe_id, '
+        f"queue={queue})",
+        f"{pad}break",
+    ]
+
+
+def _drm_gate(indent: int, credited: bool) -> list:
+    """The ladder's ``out.can_enq(producer)`` test. An uncredited target
+    compares occupancy inline; a credited one reads the producer's
+    credits and calls can_enq only on the failing path, which fires the
+    credit_stall probe exactly as the ladder's call does."""
+    pad = _pad(indent)
+    if credited:
+        test = [f"{pad}if out_credits[producer] < out_words:",
+                f"{pad}    q_out.can_enq(producer)"]
+    else:
+        test = [f"{pad}if OUT_CAP - q_out._occupancy_words < out_words:"]
+    return [*test, f"{pad}    drm._blocked_on = OUT_NAME",
+            *_drm_blocked(indent + 4, "OUT_NAME")]
+
+
+def _drm_access(indent: int, addrs) -> list:
+    """DRM._access_cost over ``addrs``, with L1 hits inlined."""
+    pad = _pad(indent)
+    lines = [f"{pad}worst = 0.0"]
+    for addr in addrs:
+        lines += [
+            *_l1_hit(indent, addr, hits="hits"),
+            f"{pad}    lat = l1_lat",
+            f"{pad}else:",
+            f"{pad}    lat = l1_access({addr})",
+            f"{pad}if lat > worst:",
+            f"{pad}    worst = lat",
+        ]
+    return lines + [
+        f"{pad}loads += {len(addrs)}",
+        f"{pad}over = worst - drm_lat",
+        f"{pad}extra = over / max_out if over > 0.0 else 0.0",
+        f"{pad}stall += extra",
+        f"{pad}cost = inv_issue + extra",
+    ]
+
+
+def _drm_outputs(shape: DrmShape) -> str:
+    if shape.routed:
+        return "\n".join([
+            "    route = drm._route",
+            "    targets = {name: (q, q._tokens, q.entry_words, q._credits,",
+            "                      q.name, q.capacity_words)",
+            "               for name, q in drm.out_queues.items()}",
+        ])
+    return _bind_out_queue("out", "drm._out_q")
+
+
+def _drm_regions(n_slots: int) -> tuple:
+    """(bind-time initialisation, ``nonlocal`` line) of the per-slot
+    region caches; each starts empty, like ``MemoryMap._last``."""
+    cells = [f"lo{s}, hi{s}, eb{s}, arr{s}" for s in range(n_slots)]
+    init = "\n".join(f"    {c} = 1, 0, 1, None" for c in cells)
+    return init, "        nonlocal " + ", ".join(cells)
+
+
+def _drm_flush(indent: int) -> str:
+    pad = _pad(indent)
+    return "\n".join([
+        f"{pad}drm.loads = loads",
+        f"{pad}drm.miss_stall_cycles = stall",
+        f"{pad}l1.hits += hits",
+        f"{pad}drm.busy_cycles += spent",
+        f"{pad}return spent",
+    ])
+
+
+def _emit_drm_deref(shape: DrmShape) -> str:
+    width = shape.width
+    slots = range(width)
+    if width == 1 and not shape.payload:
+        operands = ["            a0 = token.value"]
+    else:
+        operands = ["            parts = tuple(token.value)"]
+        operands += [f"            a{s} = parts[{s}]" for s in slots]
+    if shape.payload:
+        operands.append(f"            payload = parts[{width}:]")
+    for s in slots:
+        operands += _region_read(12, s, f"a{s}", f"v{s}")
+    loaded = "(" + "".join(f"v{s}, " for s in slots).rstrip(" ") + ")"
+    if shape.routed:
+        payload = "payload" if shape.payload else "()"
+        operands += [f"            loaded = {loaded}",
+                     "            (q_out, out_tok, out_words, out_credits,",
+                     "             OUT_NAME, OUT_CAP) = targets[",
+                     f"                route(loaded, {payload})]"]
+        loaded = "loaded"
+    if width == 1 and not shape.payload:
+        result = "v0"
+    elif shape.payload:
+        result = f"{loaded} + payload"
+    else:
+        result = loaded
+    init, cells = _drm_regions(width)
+    body = "\n".join([
+        _bind_in_queue("in", "drm.in_q"),
+        _drm_outputs(shape),
+        init,
+        "",
+        "    def step(budget):",
+        cells,
+        "        if not in_tok:",
+        "            return 0.0",
+        "        spent = 0.0",
+        "        loads = drm.loads",
+        "        stall = drm.miss_stall_cycles",
+        "        hits = 0",
+        "        while spent < budget and in_tok:",
+        "            token = in_tok[0]",
+        "            if token.is_control:",
+        "                cost = step_control(token)",
+        "                if cost is None:",
+        *_drm_blocked(20, "drm._blocked_on"),
+        "                spent += cost",
+        "                continue",
+        *operands,
+        *_drm_gate(12, shape.credited_out),
+        *_drm_access(12, [f"a{s}" for s in slots]),
+        *_queue_deq(12, "in", "in_words", shape.credited_in),
+        *_queue_enq(12, "out", result, "False", "out_words",
+                    shape.credited_out, reuse=True),
+        "            spent += cost",
+        _drm_flush(8),
+        "",
+        "    return step",
+        "",
+    ])
+    return _drm_header(shape) + "\n" + _DRM_PREAMBLE + body
+
+
+def _emit_drm_scan(shape: DrmShape) -> str:
+    init, cells = _drm_regions(1)
+    body = "\n".join([
+        _bind_in_queue("in", "drm.in_q"),
+        _drm_outputs(shape),
+        init,
+        "",
+        "    def step(budget):",
+        cells,
+        "        sa = drm._scan_addr",
+        "        if sa is None and not in_tok:",
+        "            return 0.0",
+        "        spent = 0.0",
+        "        s_end = drm._scan_end",
+        "        s_eb = drm._scan_elem_bytes",
+        "        loads = drm.loads",
+        "        stall = drm.miss_stall_cycles",
+        "        hits = 0",
+        "        while spent < budget:",
+        "            if sa is not None:",
+        *_drm_gate(16, shape.credited_out),
+        *_drm_access(16, ["sa"]),
+        *_region_read(16, 0, "sa", "v0"),
+        *_queue_enq(16, "out", "v0", "False", "out_words",
+                    shape.credited_out),
+        "                sa += s_eb",
+        "                if sa >= s_end:",
+        "                    sa = None",
+        "            elif not in_tok:",
+        "                break",
+        "            else:",
+        "                token = in_tok[0]",
+        "                if token.is_control:",
+        "                    cost = step_control(token)",
+        "                    if cost is None:",
+        *_drm_blocked(24, "drm._blocked_on"),
+        "                else:",
+        "                    start, end = token.value",
+        "                    q_in.deq()",
+        "                    sa = start if start < end else None",
+        "                    s_end = end",
+        "                    if start < end:",
+        "                        s_eb = mm.elem_bytes_at(start)",
+        "                    cost = 1.0",
+        "            spent += cost",
+        "        drm._scan_addr = sa",
+        "        drm._scan_end = s_end",
+        "        drm._scan_elem_bytes = s_eb",
+        _drm_flush(8),
+        "",
+        "    return step",
+        "",
+    ])
+    return _drm_header(shape) + "\n" + _DRM_PREAMBLE + body
+
+
+def drm_source(shape: DrmShape) -> str:
+    """Emit the DRM step-function source for ``shape`` (pure and
+    deterministic, like :func:`stage_source`)."""
+    emit = _emit_drm_deref if shape.mode == "deref" else _emit_drm_scan
+    source = emit(shape)
+    compile(source, f"<repro.codegen:{shape.name}>", "exec")
     return source

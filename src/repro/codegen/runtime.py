@@ -8,25 +8,30 @@ Three layers keep warm paths free of source generation:
    CLI runs via ``REPRO_CACHE_DIR``;
 2. a process-local map caches the executed module's ``make_step``
    factory per shape key, so repeat binds skip parsing and ``exec``;
-3. binding itself (one ``make_step`` call) is per stage-instance and
-   cheap — it resolves queues and hook methods into closure locals.
+3. binding itself (one ``make_step`` call) is per stage-instance or
+   DRM and cheap — it resolves queues and hook methods into closure
+   locals.
 
-``emitted_count()`` exposes how many times source was actually
-generated, so tests can prove a warm run performs zero generation.
+Stages bind under ``System.run(codegen=True)``; DRMs bind on every
+``engine="fast"`` run. ``emitted_count()`` exposes how many times
+source was actually generated (stage and DRM shapes alike), so tests
+can prove a warm run performs zero generation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional
 
 from repro.cache.artifacts import ArtifactCache, get_artifact_cache
-from repro.codegen.emit import StageShape, stage_source
+from repro.codegen.emit import DRM_MODES, DrmShape, drm_source, stage_source
 
 #: Process-local factory cache: shape key -> the generated module's
 #: make_step function (compile + exec happen once per shape).
 _FACTORY: dict = {}
 
-#: How many times stage_source() actually ran in this process.
+#: How many times stage_source() or drm_source() actually ran in this
+#: process.
 _EMITTED = 0
 
 
@@ -35,9 +40,9 @@ def emitted_count() -> int:
     return _EMITTED
 
 
-def source_for(shape: StageShape,
-               cache: Optional[ArtifactCache] = None) -> str:
-    """The generated source for ``shape``, via the artifact cache.
+def source_for(shape, cache: Optional[ArtifactCache] = None) -> str:
+    """The generated source for a :class:`StageShape` or
+    :class:`DrmShape`, via the artifact cache.
 
     A hit (memory or disk) returns the cached text without invoking the
     emitter; a miss generates, stores, and counts one emission.
@@ -49,24 +54,20 @@ def source_for(shape: StageShape,
     entry = cache.get("codegen", key)
     if entry is not None:
         return entry["source"]
-    source = stage_source(shape)
+    emit = drm_source if isinstance(shape, DrmShape) else stage_source
+    source = emit(shape)
     _EMITTED += 1
-    cache.put("codegen", key, {
-        "source": source,
-        "role": shape.role,
-        "simple_edges": shape.simple_edges,
-        "trivial_vp": shape.trivial_vp,
-    })
+    cache.put("codegen", key, {"source": source,
+                               **dataclasses.asdict(shape)})
     return source
 
 
-def _factory_for(shape: StageShape,
-                 cache: Optional[ArtifactCache] = None) -> Callable:
+def _factory_for(shape, cache: Optional[ArtifactCache] = None) -> Callable:
     key = shape.key()
     factory = _FACTORY.get(key)
     if factory is None:
         source = source_for(shape, cache)
-        code = compile(source, f"<repro.codegen:{shape.role}>", "exec")
+        code = compile(source, f"<repro.codegen:{shape.name}>", "exec")
         namespace: dict = {}
         exec(code, namespace)
         factory = namespace["make_step"]
@@ -106,3 +107,39 @@ def bind_system(system, cache: Optional[ArtifactCache] = None):
             else:
                 fallback += 1
     return bound, fallback
+
+
+def drm_shape(drm) -> Optional[DrmShape]:
+    """The :class:`DrmShape` ``drm`` compiles to, or None to keep the
+    interpreted ladder: strided DRMs, a routed scan, route targets that
+    mix credited and uncredited queues, and a credited target that does
+    not list the DRM as a producer (the ladder then raises can_enq's
+    KeyError)."""
+    spec = drm.spec
+    routed = spec.route is not None
+    if spec.mode not in DRM_MODES or (routed and spec.mode == "scan"):
+        return None
+    credited = {q._credits is not None for q in drm._target_queues}
+    if len(credited) != 1:
+        return None
+    credited_out = credited.pop()
+    if credited_out and any(drm.producer_key not in q._credits
+                            for q in drm._target_queues):
+        return None
+    credited_in = drm.in_q._credits is not None
+    if spec.mode == "scan":
+        return DrmShape("scan", credited_out=credited_out,
+                        credited_in=credited_in)
+    return DrmShape("deref", spec.width, spec.payload, routed, credited_out,
+                    credited_in)
+
+
+def bind_drms(drms, cache: Optional[ArtifactCache] = None) -> None:
+    """Give every DRM in ``drms`` with a shape its generated
+    step-function (``drm.step_fn``); the rest keep ``DRM.run``."""
+    if cache is None:
+        cache = get_artifact_cache()
+    for drm in drms:
+        shape = drm_shape(drm)
+        drm.step_fn = (None if shape is None
+                       else _factory_for(shape, cache)(drm))

@@ -28,6 +28,12 @@ Modes (paper Sec. 5.4):
 Control values pass through DRMs in order; a routing DRM broadcasts each
 control value to every possible destination so iteration boundaries
 reach all consumers (Sec. 5.5).
+
+Because a DRM's configuration is fixed at initialization, the fast
+engine runs each dereferencing or scanning DRM as a step-function
+generated for its shape (:mod:`repro.codegen`); :meth:`DRM.run`, the
+interpreted ``_step_*`` ladder below, is what the naive engine runs and
+the oracle the generated code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.memory.cache import Cache
 from repro.memory.memmap import MemoryMap
-from repro.queues.queue import Queue, Token
+from repro.queues.queue import Queue
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,10 @@ class DRM:
         self._blocked_on: Optional[str] = None
         # Optional telemetry Probe (repro.stats.telemetry).
         self.probe = None
+        # Generated step-function with run()'s signature, bound by the
+        # fast engine (repro.codegen.runtime.bind_drms); None runs the
+        # interpreted ladder.
+        self.step_fn: Optional[Callable[[float], float]] = None
 
     def _targets(self) -> Sequence[str]:
         if self.spec.route is not None:
@@ -141,21 +151,7 @@ class DRM:
             self._blocked_on = out.name
             return None
         cost = self._access_cost((self._scan_addr,))
-        # Inlined out.enq — Queue.enq verbatim, minus the full-queue
-        # raise the can_enq gate above already ruled out.
-        producer = self.producer_key
-        words = out.entry_words
-        credits = out._credits
-        if credits is not None:
-            credits[producer] -= words
-        out._tokens.append(Token(self.memmap.read(self._scan_addr), False,
-                                 producer))
-        out._occupancy_words += words
-        out.total_enqueued += 1
-        probe = out.probe
-        if probe is not None and "queue.enq" in probe.bus.wants:
-            probe.emit("queue.enq", queue=out.name, words=words,
-                       occupancy=out._occupancy_words, control=False)
+        out.enq(self.memmap.read(self._scan_addr), producer=self.producer_key)
         if self._mode == "strided":
             self._scan_addr += self._scan_stride
             self._scan_remaining -= 1
@@ -179,79 +175,37 @@ class DRM:
                        producer=self.producer_key)
         return 1.0
 
-    def _step_deref(self, token) -> Optional[float]:
-        value = token.value
-        width = self._width
-        has_payload = self._payload
-        read = self.memmap.read
-        if width > 1 or has_payload:
+    def _operands(self, value) -> tuple:
+        """``(addrs, payload, loaded)`` of a dereference token: its
+        ``width`` addresses, the tag-along tail, and the loaded values."""
+        if self._width > 1 or self._payload:
             parts = tuple(value)
-            addrs = parts[:width]
-            payload = parts[width:] if has_payload else ()
-            # Unrolled for the common widths (1 and 2 cover every
-            # pipeline in the suite).
-            if width == 1:
-                loaded = (read(addrs[0]),)
-            elif width == 2:
-                loaded = (read(addrs[0]), read(addrs[1]))
-            else:
-                loaded = tuple([read(a) for a in addrs])
+            addrs = parts[:self._width]
+            payload = parts[self._width:] if self._payload else ()
         else:
             addrs = (value,)
             payload = ()
-            loaded = (read(value),)
-        route = self._route
-        if route is not None:
-            out = self.out_queues[route(loaded, payload)]
-        else:
-            out = self._out_q
+        read = self.memmap.read
+        return addrs, payload, tuple([read(a) for a in addrs])
+
+    def _output(self, loaded: tuple, payload: tuple) -> Queue:
+        if self._route is not None:
+            return self.out_queues[self._route(loaded, payload)]
+        return self._out_q
+
+    def _step_deref(self, token) -> Optional[float]:
+        addrs, payload, loaded = self._operands(token.value)
+        out = self._output(loaded, payload)
         if not out.can_enq(self.producer_key):
             self._blocked_on = out.name
             return None
-        # Inlined _access_cost (this is the DRM's per-token hot path).
-        worst = 0.0
-        access = self.l1.access
-        for addr in addrs:
-            latency = access(addr)
-            if latency > worst:
-                worst = latency
-        self.loads += len(addrs)
-        over = worst - self.l1_latency
-        extra = over / self.max_outstanding if over > 0.0 else 0.0
-        self.miss_stall_cycles += extra
-        cost = self._inv_issue + extra
-        if len(loaded) == 1 and not has_payload:
+        cost = self._access_cost(addrs)
+        if len(loaded) == 1 and not self._payload:
             result = loaded[0]
         else:
             result = loaded + payload
-        # Inlined in_q.deq() / out.enq() — Queue.deq / Queue.enq
-        # verbatim (this transfer pair dominates the DRM's per-token
-        # cost). The dequeued head is the data token examined by run(),
-        # so it occupies entry_words; the full-queue raise was ruled
-        # out by the can_enq gate above.
-        in_q = self.in_q
-        tok = in_q._tokens.popleft()
-        words = in_q.entry_words
-        in_q._occupancy_words -= words
-        credits = in_q._credits
-        if credits is not None:
-            credits[tok.producer] += words
-        probe = in_q.probe
-        if probe is not None and "queue.deq" in probe.bus.wants:
-            probe.emit("queue.deq", queue=in_q.name, words=words,
-                       occupancy=in_q._occupancy_words)
-        producer = self.producer_key
-        words = out.entry_words
-        credits = out._credits
-        if credits is not None:
-            credits[producer] -= words
-        out._tokens.append(Token(result, False, producer))
-        out._occupancy_words += words
-        out.total_enqueued += 1
-        probe = out.probe
-        if probe is not None and "queue.enq" in probe.bus.wants:
-            probe.emit("queue.enq", queue=out.name, words=words,
-                       occupancy=out._occupancy_words, control=False)
+        self.in_q.deq()
+        out.enq(result, producer=self.producer_key)
         return cost
 
     def can_progress(self) -> bool:
@@ -274,166 +228,18 @@ class DRM:
                        for q in self._target_queues)
         if self._mode != "deref":
             return True  # scan/strided cursor setup always costs one cycle
-        value = token.value
-        width = self._width
-        has_payload = self._payload
-        read = self.memmap.read
-        if width > 1 or has_payload:
-            parts = tuple(value)
-            payload = parts[width:] if has_payload else ()
-            if width == 1:
-                loaded = (read(parts[0]),)
-            elif width == 2:
-                loaded = (read(parts[0]), read(parts[1]))
-            else:
-                loaded = tuple([read(a) for a in parts[:width]])
-        else:
-            payload = ()
-            loaded = (read(value),)
-        route = self._route
-        if route is not None:
-            return self.out_queues[route(loaded, payload)].can_enq(
-                self.producer_key)
-        return self._out_q.can_enq(self.producer_key)
+        _, payload, loaded = self._operands(token.value)
+        return self._output(loaded, payload).can_enq(self.producer_key)
 
     def run(self, budget: float) -> float:
-        """Advance the DRM for up to ``budget`` cycles; returns cycles used."""
+        """Advance the DRM for up to ``budget`` cycles; returns cycles used.
+
+        The interpreted ladder: one ``_step_*`` call per token. The fast
+        engine runs a generated :attr:`step_fn` instead
+        (:mod:`repro.codegen`), and this ladder is its oracle.
+        """
         spent = 0.0
         in_q = self.in_q
-        in_tokens = in_q._tokens
-        if self._scan_addr is None and self._mode == "deref" and in_tokens:
-            # Hot path: back-to-back dereferences with every per-token
-            # attribute lookup hoisted. Replays _step_deref exactly
-            # (same per-token float accumulation order); bails to the
-            # general ladder below on control tokens.
-            width = self._width
-            has_payload = self._payload
-            mm = self.memmap
-            read = mm.read
-            route = self._route
-            out_queues = self.out_queues
-            default_out = self._out_q
-            l1 = self.l1
-            access = l1.access
-            l1_sets = l1._sets
-            l1_shift = l1._line_shift
-            l1_mask = l1._set_mask
-            l1_hit_lat = l1._latency
-            l1_latency = self.l1_latency
-            max_out = self.max_outstanding
-            inv_issue = self._inv_issue
-            producer = self.producer_key
-            in_words = in_q.entry_words
-            in_credits = in_q._credits
-            in_name = in_q.name
-            # Stats carried as locals (running totals, so float
-            # accumulation order — and thus rounding — is unchanged);
-            # flushed at every exit from the hot loop.
-            n_loads = self.loads
-            miss_stall = self.miss_stall_cycles
-            while spent < budget and in_tokens:
-                token = in_tokens[0]
-                if token.is_control:
-                    break
-                value = token.value
-                # Loads inline MemoryMap.read's locality-cache fast
-                # path (re-read _last per address: a miss refills it).
-                if width > 1 or has_payload:
-                    parts = tuple(value)
-                    addrs = parts[:width]
-                    payload = parts[width:] if has_payload else ()
-                    if width == 1:
-                        a = addrs[0]
-                        ml = mm._last
-                        loaded = ((ml[4][(a - ml[0]) // ml[2]]
-                                   if ml[0] <= a < ml[1] else read(a)),)
-                    elif width == 2:
-                        a = addrs[0]
-                        ml = mm._last
-                        v0 = (ml[4][(a - ml[0]) // ml[2]]
-                              if ml[0] <= a < ml[1] else read(a))
-                        a = addrs[1]
-                        ml = mm._last
-                        v1 = (ml[4][(a - ml[0]) // ml[2]]
-                              if ml[0] <= a < ml[1] else read(a))
-                        loaded = (v0, v1)
-                    else:
-                        loaded = tuple([read(a) for a in addrs])
-                else:
-                    addrs = (value,)
-                    payload = ()
-                    a = value
-                    ml = mm._last
-                    loaded = ((ml[4][(a - ml[0]) // ml[2]]
-                               if ml[0] <= a < ml[1] else read(a)),)
-                if route is not None:
-                    out = out_queues[route(loaded, payload)]
-                else:
-                    out = default_out
-                # Queue.can_enq's uncredited arm verbatim; credited
-                # targets keep the method (credit_stall probe).
-                if out._credits is None:
-                    ok = (out.capacity_words - out._occupancy_words
-                          >= out.entry_words)
-                else:
-                    ok = out.can_enq(producer)
-                if not ok:
-                    self._blocked_on = out.name
-                    if (self.probe is not None
-                            and "drm.blocked" in self.probe.bus.wants):
-                        self.probe.emit("drm.blocked", drm=self.spec.name,
-                                        pe=self.pe_id, queue=self._blocked_on)
-                    self.loads = n_loads
-                    self.miss_stall_cycles = miss_stall
-                    self.busy_cycles += spent
-                    return spent
-                # Cache.access's L1-hit path verbatim (LRU move-to-MRU
-                # included); misses take the full method.
-                worst = 0.0
-                for addr in addrs:
-                    line = addr >> l1_shift
-                    cset = l1_sets[line & l1_mask]
-                    if line in cset:
-                        l1.hits += 1
-                        cset[line] = cset.pop(line)
-                        latency = l1_hit_lat
-                    else:
-                        latency = access(addr)
-                    if latency > worst:
-                        worst = latency
-                n_loads += len(addrs)
-                over = worst - l1_latency
-                extra = over / max_out if over > 0.0 else 0.0
-                miss_stall += extra
-                cost = inv_issue + extra
-                if len(loaded) == 1 and not has_payload:
-                    result = loaded[0]
-                else:
-                    result = loaded + payload
-                # Inlined in_q.deq() / out.enq() (Queue.deq / Queue.enq
-                # verbatim; the head is the data token just examined).
-                tok = in_tokens.popleft()
-                in_q._occupancy_words -= in_words
-                if in_credits is not None:
-                    in_credits[tok.producer] += in_words
-                probe = in_q.probe
-                if probe is not None and "queue.deq" in probe.bus.wants:
-                    probe.emit("queue.deq", queue=in_name, words=in_words,
-                               occupancy=in_q._occupancy_words)
-                words = out.entry_words
-                credits = out._credits
-                if credits is not None:
-                    credits[producer] -= words
-                out._tokens.append(Token(result, False, producer))
-                out._occupancy_words += words
-                out.total_enqueued += 1
-                probe = out.probe
-                if probe is not None and "queue.enq" in probe.bus.wants:
-                    probe.emit("queue.enq", queue=out.name, words=words,
-                               occupancy=out._occupancy_words, control=False)
-                spent += cost
-            self.loads = n_loads
-            self.miss_stall_cycles = miss_stall
         while spent < budget:
             if self._scan_addr is not None:
                 cost = self._step_scan()

@@ -39,10 +39,38 @@ from repro.queues.queue_memory import QueueMemory
 from repro.stats.counters import Counters
 
 _EPS = 1e-9
+_TWO53 = 2.0 ** 53
 
 
 class StageLivelockError(Exception):
     """A stage issued a long run of zero-cost requests without progress."""
+
+
+def add_units(x: float, k: int) -> float:
+    """Exactly what ``k`` successive ``x += 1.0`` leave in ``x``, for
+    finite ``x >= 0``, in one addition per binade.
+
+    Within a binade below 2**53, ``x`` and 1.0 are both multiples of the
+    spacing, so every step that stays below the next power of two is
+    exact and all of them add in one operation; the step that crosses
+    it rounds, and is done alone. Below 1.0 that crossing is the first
+    step. From 2**53 on a step rounds to an even neighbour or changes
+    nothing, and once it changes nothing every later step does too.
+    """
+    while k > 0:
+        if 1.0 <= x < _TWO53:
+            top = math.ldexp(1.0, math.frexp(x)[1])  # next power of two
+            inside = min(k, math.ceil(top - x) - 1)  # top - x is exact
+            x += inside
+            k -= inside
+            if k == 0:
+                break
+        stepped = x + 1.0
+        if stepped == x:
+            break
+        x = stepped
+        k -= 1
+    return x
 
 
 class ProcessingElement:
@@ -402,7 +430,10 @@ class ProcessingElement:
         before the quantum ends, and the per-cycle loop would tick the
         same bucket every remaining cycle. See docs/performance.md.
         """
-        drm_used = [drm.run(budget) for drm in self.drms]
+        # A DRM runs its generated step-function when the fast engine
+        # bound one (repro.codegen), else the interpreted ladder.
+        drm_used = [(drm.step_fn or drm.run)(budget)
+                    for drm in self.drms]
         remaining = float(budget) - self._debt
         self._debt = 0.0
         guard = 0
@@ -468,7 +499,7 @@ class ProcessingElement:
         # yet (keeps total DRM throughput at one quantum per quantum).
         for drm, used in zip(self.drms, drm_used):
             if used < budget:
-                drm.run(budget - used)
+                (drm.step_fn or drm.run)(budget - used)
 
     def _stall_fast(self, remaining: float) -> float:
         """Charge the rest of a quantum's blocked cycles in one step.
@@ -476,10 +507,8 @@ class ProcessingElement:
         Mirrors the naive per-cycle stall loop exactly: the naive loop
         subtracts 1.0 while ``remaining > _EPS``, so it takes
         ``ceil(remaining - _EPS)`` steps and may leave a fractional
-        debt. The bulk add is only taken when both ``now`` and the
-        bucket are integral (then ``x + k`` equals k unit increments
-        bit-for-bit); otherwise a tight replay loop preserves the exact
-        rounding of repeated ``+= 1.0``.
+        debt. :func:`add_units` gives ``now`` and the bucket what that
+        many ``+= 1.0`` steps give them, rounding included.
         """
         steps = math.ceil(remaining - _EPS)
         if self.probe is not None and "pe.stall" in self.probe.bus.wants:
@@ -495,14 +524,9 @@ class ProcessingElement:
                  "cycles": float(steps), "queue": blocked_queue})
         else:
             bucket = self._classify_blocked()
-        if self.now.is_integer() and self.counters[bucket].is_integer():
-            self.counters.add(bucket, float(steps))
-            self.now += float(steps)
-        else:
-            add = self.counters.add
-            for _ in range(steps):
-                add(bucket, 1.0)
-                self.now += 1.0
+        counters = self.counters
+        counters[bucket] = add_units(counters[bucket], steps)
+        self.now = add_units(self.now, steps)
         return remaining - float(steps)
 
     def fast_forward_quanta(self, n: int, quantum: float) -> None:

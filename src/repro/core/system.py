@@ -31,8 +31,9 @@ from repro.stats.cpi_stack import cpi_stack, merge_stacks
 
 
 #: Valid ``System.run(engine=...)`` values. ``fast`` skips blocked and
-#: quiescent spans in bulk; ``naive`` is the original per-cycle
-#: reference loop kept as the differential-testing oracle. Both are
+#: quiescent spans in bulk and runs generated DRM step-functions;
+#: ``naive`` is the original per-cycle reference loop over the
+#: interpreted DRMs, kept as the differential-testing oracle. Both are
 #: cycle- and counter-exact (docs/performance.md,
 #: tests/test_engine_equivalence.py, tests/test_engine_fuzz.py).
 ENGINES = ("fast", "naive")
@@ -364,12 +365,14 @@ class System:
         bit-identical in cycles, counters, CPI stacks, and results.
 
         ``engine`` selects the simulation loop: ``"fast"`` (default)
-        bulk-charges blocked spans and jumps quiescent systems — past a
+        bulk-charges blocked spans, jumps quiescent systems — past a
         certified-idle control core — to their deadlock/timeout
-        horizon; ``"naive"`` ticks every cycle. Both produce identical
-        cycle counts, counters, CPI stacks, sampled time series, and
-        results (tests/test_engine_equivalence.py,
-        tests/test_engine_fuzz.py).
+        horizon, and runs each DRM as a step-function generated for its
+        shape; ``"naive"`` ticks every cycle and interprets the DRMs.
+        Both produce identical cycle counts, counters, CPI stacks,
+        sampled time series, and results
+        (tests/test_engine_equivalence.py, tests/test_engine_fuzz.py,
+        tests/test_drm_codegen.py).
 
         ``engine_stats`` counts the quanta stepped (``quanta``), the
         PE-quanta run (``pe_quanta``), and the quanta a fast-forward
@@ -391,6 +394,15 @@ class System:
             for pe in self.pes:
                 for stage in pe.stages:
                     stage.step_fn = None
+        drms = [drm for pe in self.pes for drm in pe.drms]
+        if engine == "fast" and drms:
+            from repro.codegen.runtime import bind_drms
+            bind_drms(drms)
+        else:
+            # The naive engine runs the interpreted DRM ladder, the
+            # oracle of the generated DRM step-functions.
+            for drm in drms:
+                drm.step_fn = None
         self._run_stepped(max_cycles, fast=(engine == "fast"))
         if codegen_counts is not None:
             # Recorded after the run: the engine resets engine_stats.

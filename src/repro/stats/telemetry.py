@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from repro.stats.cpi_stack import cpi_stack
@@ -240,18 +241,78 @@ class RecordingSink(EventSink):
             self.events.append(event)
 
 
+#: The keys :meth:`TelemetryEvent.as_dict` puts before the payload.
+_BASE_KEYS = ("cycle", "seq", "kind", "source")
+
+#: How json.dumps writes each exact type the JSONL formatter handles; an
+#: encoder returns None for a value it leaves to json.dumps (NaN, inf).
+_ENCODERS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda value: (float.__repr__(value) if math.isfinite(value)
+                          else None),
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _jsonl_layout(keys: tuple) -> tuple:
+    """The sorted key layout of ``json.dumps(event.as_dict(),
+    sort_keys=True)`` for events whose payload keys are ``keys``: one
+    ``(text before the value, index into (cycle, seq, kind, source,
+    *payload values))`` pair per key. Empty when a payload key is not a
+    str or shadows a base key; json.dumps then writes those events."""
+    if (any(type(key) is not str for key in keys)
+            or not set(keys).isdisjoint(_BASE_KEYS)):
+        return ()
+    names = _BASE_KEYS + keys
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return tuple((("{" if n == 0 else ", ")
+                  + encode_basestring_ascii(names[i]) + ": ", i)
+                 for n, i in enumerate(order))
+
+
 class JsonlSink(EventSink):
-    """Streams every event as one JSON object per line."""
+    """Streams every event as one JSON object per line.
+
+    Lines are byte-identical to ``json.dumps(event.as_dict(),
+    sort_keys=True)``. A fixed-schema formatter writes them: one cached
+    key layout per payload signature, values encoded by exact type.
+    Anything else — non-finite floats, nested ``sample`` payloads,
+    numpy scalars — goes through json.dumps.
+    """
 
     def __init__(self, stream, kinds=None):
         self.stream = stream
         self.kinds = frozenset(kinds) if kinds is not None else None
         self.n_events = 0
+        self._layouts: dict = {}
+
+    def format(self, event: TelemetryEvent) -> str:
+        """One event as its JSON line (without the newline)."""
+        data = event.data
+        keys = tuple(data)
+        layout = self._layouts.get(keys)
+        if layout is None:
+            layout = self._layouts[keys] = _jsonl_layout(keys)
+        if layout:
+            values = (event.cycle, event.seq, event.kind, event.source,
+                      *data.values())
+            parts = []
+            for prefix, index in layout:
+                value = values[index]
+                encode = _ENCODERS.get(type(value))
+                text = None if encode is None else encode(value)
+                if text is None:
+                    break
+                parts.append(prefix + text)
+            else:
+                return "".join(parts) + "}"
+        return json.dumps(event.as_dict(), sort_keys=True)
 
     def on_event(self, event: TelemetryEvent) -> None:
         if self.kinds is None or event.kind in self.kinds:
-            self.stream.write(json.dumps(event.as_dict(), sort_keys=True)
-                              + "\n")
+            self.stream.write(self.format(event) + "\n")
             self.n_events += 1
 
     def close(self) -> None:

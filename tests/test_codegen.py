@@ -131,18 +131,24 @@ class TestCaching:
 
     def test_warm_bind_generates_nothing(self, bfs_prepared, monkeypatch):
         """After one codegen run, rebinding (a repeat run in the same
-        process) must not emit source: the raising stub proves neither
-        the artifact cache nor the factory cache falls through."""
+        process) must not emit source, for stages or DRMs: the raising
+        stubs prove neither the artifact cache nor the factory cache
+        falls through. The fast engine binds DRMs with stage codegen
+        off too, so that run must not emit either."""
         run_experiment("bfs", "Hu", "fifer", prepared=bfs_prepared,
                        codegen=True)
         def boom(_shape):
             raise AssertionError("warm bind generated source")
         monkeypatch.setattr("repro.codegen.runtime.stage_source", boom)
+        monkeypatch.setattr("repro.codegen.runtime.drm_source", boom)
         before = emitted_count()
         res = run_experiment("bfs", "Hu", "fifer", prepared=bfs_prepared,
                              codegen=True)
+        interp = run_experiment("bfs", "Hu", "fifer",
+                                prepared=bfs_prepared, codegen=False)
         assert emitted_count() == before
         assert res.raw.engine_stats["codegen_stages"] == 64
+        assert interp.cycles == res.cycles
 
 
 # -- fallback -------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) on core data structures and
 invariants."""
 
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, MemoryConfig
+from repro.core.pe import add_units
 from repro.datasets.btree import BPlusTree
 from repro.datasets.graphs import power_law_graph, uniform_random_graph
 from repro.datasets.matrices import random_sparse_matrix
@@ -182,3 +185,28 @@ def test_spmm_reference_matches_dense_product(n, density, seed):
         for j in range(n):
             if abs(dense[i, j]) > 1e-12:
                 assert (i, j) in sparse
+
+
+# -- exact bulk stall charging ------------------------------------------------
+
+
+def _unit_steps(x, k):
+    for _ in range(k):
+        x += 1.0
+    return x
+
+
+_BINADE_EDGES = st.integers(0, 60).flatmap(
+    lambda e: st.integers(0, 40).map(
+        lambda back: max(0.0, math.nextafter(2.0 ** e, 0.0) - back)))
+
+
+@given(st.one_of(st.integers(0, 10 ** 7).map(float),      # integral
+                 st.floats(0.0, 1e7),                      # fractional
+                 _BINADE_EDGES,                            # just below 2**e
+                 st.floats(0.0, 1e-300),                   # tiny
+                 st.floats(2.0 ** 52, 2.0 ** 56)),         # past 2**53
+       st.integers(0, 10 ** 4))
+@settings(max_examples=400, deadline=None)
+def test_add_units_matches_unit_steps(x, k):
+    assert add_units(x, k).hex() == _unit_steps(x, k).hex()

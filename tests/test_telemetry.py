@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import SystemConfig
@@ -245,6 +246,47 @@ class TestJsonlSink:
             assert {"cycle", "seq", "kind", "source"} <= set(record)
         seqs = [r["seq"] for r in records]
         assert seqs == sorted(seqs)
+
+    def test_formatter_matches_json_dumps_on_a_traced_run(self,
+                                                          telemetry_run):
+        """Every event of a sampled run, ``sample`` payloads included,
+        formats exactly as ``json.dumps(..., sort_keys=True)``."""
+        _, _, recording, _, _ = telemetry_run
+        sink = JsonlSink(io.StringIO())
+        kinds = set()
+        for event in recording.events:
+            assert sink.format(event) == json.dumps(event.as_dict(),
+                                                    sort_keys=True)
+            kinds.add(event.kind)
+        assert {"sample", "queue.enq", "pe.stall", "drm.blocked"} <= kinds
+
+    @pytest.mark.parametrize("data", [
+        {"x": float("nan")}, {"x": float("inf"), "y": -float("inf")},
+        {"q": 'a "quoted" \\ back\\slash\n'},
+        {"text": "na\u00efve \u2603 \U0001f600", "n\u00e4me": 1},
+        {"none": None, "yes": True, "no": False, "zero": -0.0},
+        {"big": 10 ** 30, "small": 5e-324, "exp": 1e22},
+        {"queues": {"b": 1, "a": [1.5, None]}, "cpi": [{"idle": 2.0}]},
+        {"v": np.float64(0.1)},
+        {"cycle": 7.0, "other": 1},  # shadows a base key
+    ])
+    def test_formatter_matches_json_dumps_on_synthetic_events(self, data):
+        sink = JsonlSink(io.StringIO())
+        for cycle in (12.5, float("nan")):
+            event = TelemetryEvent(cycle, 4, "kind\u00e9", "src", data)
+            # Twice: the second call reuses the cached layout.
+            for _ in range(2):
+                assert sink.format(event) == json.dumps(event.as_dict(),
+                                                        sort_keys=True)
+
+    @pytest.mark.parametrize("data", [{"v": np.int64(3)},
+                                      {3: "non-str key"}])
+    def test_formatter_raises_like_json_dumps(self, data):
+        event = TelemetryEvent(1.0, 0, "k", "s", data)
+        with pytest.raises(TypeError):
+            json.dumps(event.as_dict(), sort_keys=True)
+        with pytest.raises(TypeError):
+            JsonlSink(io.StringIO()).format(event)
 
 
 class TestActivationTracerSink:
