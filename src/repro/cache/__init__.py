@@ -1,11 +1,13 @@
 """Content-addressed cache for compiled artifacts.
 
 Fifer's compile path (annotated kernel → split plan → per-stage DFGs →
-fabric mappings) is deterministic and pure, so every product is
-reusable once it is keyed by content. This package provides:
+fabric mappings, plus generated step-function source) is deterministic
+and pure, so its costly products — fabric mappings and generated
+source — are reused once keyed by content. This package provides:
 
 * :mod:`repro.cache.content` — the content-addressing primitives
-  (code version, kernel fingerprints, mapping keys);
+  (code version, kernel fingerprints, mapping keys); ``repro advise
+  --apply`` prints kernel fingerprints;
 * :mod:`repro.cache.artifacts` — the two-layer (memory + disk)
   :class:`ArtifactCache` with per-kind hit/miss counters, rooted at
   ``REPRO_CACHE_DIR`` or ``~/.cache/repro``.

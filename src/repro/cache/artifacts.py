@@ -1,8 +1,9 @@
 """Content-addressed cache of compiled artifacts.
 
 The compile path — kernel source → split plan → per-stage DFGs →
-fabric mappings — is deterministic and pure, so every product can be
-reused once it is keyed by content (:mod:`repro.cache.content`). The
+fabric mappings, plus the generated step-function source — is
+deterministic and pure, so its costly products can be reused once they
+are keyed by content (:mod:`repro.cache.content`). The
 :class:`ArtifactCache` layers two stores:
 
 * an **in-memory** map serving every repeat compile within a process
@@ -18,20 +19,18 @@ Artifact kinds:
 ========== ======================== ======================================
 kind       persisted as             payload
 ========== ======================== ======================================
-split_plan memory only              :class:`repro.frontend.StagePlan`
-           (holds init closures)    keyed by the kernel fingerprint
-describe   JSON                     the CLI compile description (stage
-                                    list, queue graph, per-stage asm)
 mapping    pickle                   :class:`repro.cgra.mapper.Mapping`
                                     keyed by DFG asm + fabric geometry
 codegen    JSON                     generated step-function source
-                                    keyed by the stage shape
+                                    keyed by the stage or DRM shape
                                     (:mod:`repro.codegen.emit`)
 ========== ======================== ======================================
 
+Split plans and compile descriptions are not cached: analyzing a kernel
+and describing it cost less than fingerprinting it for a lookup.
 Per-kind hit/miss/store counters make cache behavior assertable: the
-differential suite proves a repeat compile performs no split analysis
-and no mapping by watching them.
+cache tests prove a repeat mapping performs no placement by watching
+them.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Optional
 from repro.cache.content import code_version
 
 #: Kinds persisted to disk and their serialization format.
-_DISK_KINDS = {"describe": "json", "mapping": "pickle", "codegen": "json"}
+_DISK_KINDS = {"mapping": "pickle", "codegen": "json"}
 _EXT = {"json": ".json", "pickle": ".pkl"}
 
 

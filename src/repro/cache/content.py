@@ -8,7 +8,8 @@ The artifact cache keys entries by *content*, never by name:
 * :func:`kernel_fingerprint` — a canonical serialization of an
   annotated kernel's structure (refs, expression graph, statements,
   init-function sources), so editing a kernel in any observable way
-  yields a new split-plan key;
+  yields a new fingerprint (``repro advise --apply`` compares the
+  hand-marked and auto-split kernels by it);
 * :func:`mapping_key` — the stage DFG's assembly text (a faithful,
   round-trippable serialization — see ``repro.ir.asmparse``) plus the
   fabric geometry, keying fabric mappings.

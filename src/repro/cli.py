@@ -232,16 +232,16 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from repro.frontend import describe_cached
-    description = describe_cached(args.workload)
+    from repro.frontend import get_frontend
+    pipeline = get_frontend(args.workload)
+    description = pipeline.describe()
     stages = description["stages"]
     if args.stage is not None and not 0 <= args.stage < len(stages):
         raise SystemExit(
             f"no stage {args.stage}; {args.workload} has "
             f"{len(stages)} stages (0..{len(stages) - 1})")
     if args.emit_python:
-        from repro.frontend import get_frontend
-        records = get_frontend(args.workload).emit_python(stage=args.stage)
+        records = pipeline.emit_python(stage=args.stage)
         if args.json:
             payload = records[0] if args.stage is not None else records
             print(json.dumps(payload, indent=2, sort_keys=True))

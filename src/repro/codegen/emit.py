@@ -49,7 +49,7 @@ from repro.cache.content import sha256_text
 # Bump when the emitted code changes in any way that should invalidate
 # cached sources independently of the surrounding package (the on-disk
 # artifact cache is additionally namespaced by code_version()).
-CODEGEN_VERSION = "4"
+CODEGEN_VERSION = "5"
 
 ROLES = ("s0", "s1", "s2", "s3")
 
@@ -60,13 +60,11 @@ class StageShape:
 
     ``role`` names one of the four decoupled skeleton stages.
     ``simple_edges`` is the ``edge_fetch_words == 1`` fast path of
-    S1/S2; ``trivial_vp`` marks workloads that do not override
-    ``vertex_process`` (S1 skips the sub-generator entirely).
+    S1/S2; the S0 and S3 sources do not read it.
     """
 
     role: str
     simple_edges: bool = True
-    trivial_vp: bool = False
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -81,8 +79,7 @@ class StageShape:
     def key(self) -> str:
         """Content-address of the source this shape emits."""
         return sha256_text("codegen/v" + CODEGEN_VERSION, self.role,
-                           repr(bool(self.simple_edges)),
-                           repr(bool(self.trivial_vp)))
+                           repr(bool(self.simple_edges)))
 
 
 #: DRM modes with a generated step-function; strided DRMs keep the
@@ -533,7 +530,7 @@ def _header(shape: StageShape) -> str:
     return (
         "# Generated by repro.codegen — specialized step-function.\n"
         f"# shape: role={shape.role} simple_edges={shape.simple_edges}"
-        f" trivial_vp={shape.trivial_vp} v={CODEGEN_VERSION}\n"
+        f" v={CODEGEN_VERSION}\n"
         "# Do not edit: regenerate via repro.codegen.emit.stage_source.\n"
     )
 
@@ -642,47 +639,8 @@ def _emit_s1(shape: StageShape) -> str:
     else:
         edge_value = (f"value = ({ngh_addr}, *extra_addrs(e), "
                       "p_edge)")
-    # The vertex-side hook: workloads that keep the base (no-op)
-    # vertex_process skip the sub-generator; the rest drive it through
-    # the mini-trampoline (pc 2).
-    post_vp = "\n".join([
-        "                if p0 is None:",
-        "                    pc = 0",
-        "                    continue",
-        "                p_edge = s1_edge_payload(v, start, end, p0)",
-        "                cg[4] = end",
-        "                cg[5] = start",
-        "                cg[6] = p_edge",
-        "                pc = 3",
-        "                continue",
-    ])
-    if shape.trivial_vp:
-        vp_block = "\n".join([
-            "                p0 = 0",
-            post_vp,
-        ])
-        sub_arm = ""
-    else:
-        vp_block = "\n".join([
-            "                gen = vertex_process(ctx, shard, v, start, end)",
-            "                cg[1] = gen",
-            "                cg[2] = v",
-            "                cg[3] = start",
-            "                cg[4] = end",
-            "                req = None",
-            "                pc = 2",
-            "                continue",
-        ])
-        sub_arm = f'''\
-            if pc == 2:
-                gen = cg[1]
-{_subgen_loop(16, 2)}
-                cg[1] = None
-                v = cg[2]
-                start = cg[3]
-                end = cg[4]
-{post_vp}
-'''
+    # The vertex-side hook runs as a sub-generator driven by the
+    # mini-trampoline (pc 2).
     body = f'''\
 {_bind_in_queue("in", _pe_queue("q_in"))}
 {_bind_out_queue("out", _pe_queue("q_out"))}
@@ -725,7 +683,14 @@ def _emit_s1(shape: StageShape) -> str:
                 start = int(token.value[0])
                 end = int(token.value[1])
                 v = int(token.value[-1])
-{vp_block}
+                gen = vertex_process(ctx, shard, v, start, end)
+                cg[1] = gen
+                cg[2] = v
+                cg[3] = start
+                cg[4] = end
+                req = None
+                pc = 2
+                continue
             if pc == 1:
                 val = stage.pending[2]
 {_enq_site(16, "out", "val", True, 1, enq_ctl)}
@@ -733,7 +698,22 @@ def _emit_s1(shape: StageShape) -> str:
 {_finish(20)}
                 pc = 0
                 continue
-{sub_arm}\
+            if pc == 2:
+                gen = cg[1]
+{_subgen_loop(16, 2)}
+                cg[1] = None
+                v = cg[2]
+                start = cg[3]
+                end = cg[4]
+                if p0 is None:
+                    pc = 0
+                    continue
+                p_edge = s1_edge_payload(v, start, end, p0)
+                cg[4] = end
+                cg[5] = start
+                cg[6] = p_edge
+                pc = 3
+                continue
             if pc == 3:
                 e = cg[5]
                 end = cg[4]
@@ -892,11 +872,7 @@ def stage_source(shape: StageShape) -> str:
     Callers wanting caching go through
     :func:`repro.codegen.runtime.source_for` instead.
     """
-    source = _EMITTERS[shape.role](shape)
-    # The emitted module must always parse — catch template drift at
-    # generation time, not at bind time deep inside a run.
-    compile(source, f"<repro.codegen:{shape.role}>", "exec")
-    return source
+    return _EMITTERS[shape.role](shape)
 
 
 # -- DRM step-functions ------------------------------------------------------
@@ -1142,6 +1118,4 @@ def drm_source(shape: DrmShape) -> str:
     """Emit the DRM step-function source for ``shape`` (pure and
     deterministic, like :func:`stage_source`)."""
     emit = _emit_drm_deref if shape.mode == "deref" else _emit_drm_scan
-    source = emit(shape)
-    compile(source, f"<repro.codegen:{shape.name}>", "exec")
-    return source
+    return emit(shape)

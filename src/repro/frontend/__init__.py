@@ -16,7 +16,8 @@ into a feed-forward pipeline of FIFO-connected stages:
   program on :mod:`repro.core`, replicated per shard with owner-routed
   cross-shard hops;
 * :mod:`repro.frontend.kernels` — the shipped kernels (``bfs``, ``cc``,
-  ``sssp``) and the :func:`get_frontend` registry.
+  ``sssp``), the only definitions of those pipelines, and the
+  :func:`get_frontend` registry.
 """
 
 from repro.frontend.kernel import FrontendError, GraphKernel
@@ -24,11 +25,10 @@ from repro.frontend.lint import PipelineLintError
 from repro.frontend.split import StagePlan, analyze
 from repro.frontend.lower import (CompiledPipeline, FrontendWorkload,
                                   compile_kernel)
-from repro.frontend.kernels import (FRONTEND_KERNELS, describe_cached,
-                                    get_frontend, sssp_edge_weights,
-                                    SSSP_INF)
+from repro.frontend.kernels import (FRONTEND_KERNELS, get_frontend,
+                                    sssp_edge_weights, SSSP_INF)
 
 __all__ = ["FrontendError", "GraphKernel", "PipelineLintError", "StagePlan",
            "analyze", "CompiledPipeline", "FrontendWorkload",
-           "compile_kernel", "FRONTEND_KERNELS", "describe_cached",
-           "get_frontend", "sssp_edge_weights", "SSSP_INF"]
+           "compile_kernel", "FRONTEND_KERNELS", "get_frontend",
+           "sssp_edge_weights", "SSSP_INF"]

@@ -1,12 +1,15 @@
 """Annotated-kernel definitions for the front-end.
 
-``bfs`` and ``cc`` are ports of the hand-written workloads — each is a
-dozen lines of kernel description, and the generated pipelines are
-bit-identical to :mod:`repro.workloads.bfs`/:mod:`repro.workloads.cc`
-(asserted by the frontend differential suite). ``sssp`` exists only
-here: single-source shortest paths with per-edge weights exercises the
-edge-state path (two-word edge fetches, a payload transform at S2) that
-no hand-written pipeline uses.
+These kernels are the only definitions of the BFS, CC and SSSP
+pipelines: :mod:`repro.workloads.bfs`, :mod:`repro.workloads.cc` and
+:mod:`repro.workloads.sssp` build through :func:`get_frontend` and keep
+only their golden serial references. ``bfs`` and ``cc`` are a dozen
+lines of kernel description each; they replaced hand-written pipelines
+whose recorded outputs (per-stage DFGs, queue and DRM specs, cycles and
+run statistics) the generated ones reproduce bit for bit
+(``tests/test_frontend_parity.py``). ``sssp`` exercises the edge-state
+path (two-word edge fetches, a payload transform at S2) that no other
+workload uses.
 """
 
 from __future__ import annotations
@@ -135,22 +138,3 @@ def get_frontend(name: str) -> CompiledPipeline:
         _COMPILED[name] = pipeline
     return pipeline
 
-
-def describe_cached(name: str) -> dict:
-    """The compile description of a registered kernel, content-cached.
-
-    :meth:`CompiledPipeline.describe` materializes every stage DFG to
-    produce the stage list, queue graph, and per-stage assembly; the
-    result depends only on the kernel, so it is cached under the
-    kernel's fingerprint — as JSON on disk when a cache root is
-    configured, making ``repro compile`` of an unchanged kernel a hash
-    plus a file read across processes.
-    """
-    from repro.cache import get_artifact_cache, kernel_fingerprint
-    cache = get_artifact_cache()
-    key = kernel_fingerprint(FRONTEND_KERNELS[name]())
-    description = cache.get("describe", key)
-    if description is None:
-        description = get_frontend(name).describe()
-        cache.put("describe", key, description)
-    return description

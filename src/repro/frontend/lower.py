@@ -2,20 +2,20 @@
 
 The generated pipeline is a :class:`FrontendWorkload`, a subclass of the
 same :class:`~repro.workloads.common.GraphPipelineWorkload` skeleton the
-hand-written workloads use: the split analysis fills in the hooks
-(vertex fetches, payload datapaths, the update program) that a human
-author would write by hand. Because the skeleton is shared, a generated
-pipeline is *bit-identical* to its hand-written counterpart — same
-per-stage DFGs, queue specs, DRM specs, address-space layout, and
-token-for-token identical request streams — which the differential
-suite asserts for BFS and CC.
+hand-written PRD and Radii workloads use: the split analysis fills in
+the hooks (vertex fetches, payload datapaths, the update program) that
+a human author would write by hand. BFS and CC are built only this
+way; the golden suite (``tests/test_frontend_parity.py``) holds the
+recorded outputs of the hand-written pipelines they replaced — same
+per-stage DFGs, queue specs, DRM specs, address-space layout, cycles
+and run statistics — and the generated pipelines must reproduce them.
 
 Kernel expressions are lowered twice:
 
 * to *runtime closures* interpreted by the stage semantics coroutines
   (marked loads compile to authoritative re-reads of the live arrays at
   the consuming stage — the DRM-fetched copy may be stale within an
-  iteration, exactly as the hand-written workloads treat it);
+  iteration, so the update re-checks the live value);
 * to *DFG node emissions* for the mapper (loads that crossed a cut
   become CTRL taps off the stage's input token).
 
@@ -124,8 +124,7 @@ class FrontendWorkload(GraphPipelineWorkload):
         self.kernel = kernel
         # Instance attributes shadow the skeleton's class attributes; the
         # kernel name keys every queue, DRM, and stage name (and thereby
-        # the runtime's credit bookkeeping), so a generated "bfs" is
-        # indistinguishable from the hand-written one.
+        # the runtime's credit bookkeeping).
         self.name = kernel.name
         self.vertex_fetch_words = len(plan.vertex_loads)
         self.edge_fetch_words = 1 + len(plan.edge_extra_loads)
@@ -486,26 +485,6 @@ class CompiledPipeline:
         return records
 
 
-def compile_kernel(kernel: GraphKernel,
-                   cache=None) -> CompiledPipeline:
-    """Split, lint, and prepare ``kernel`` for lowering.
-
-    Split plans are content-addressed by the kernel's structural
-    fingerprint (:func:`repro.cache.kernel_fingerprint`): a repeat
-    compile of an unchanged kernel performs no split analysis — the
-    cached :class:`~repro.frontend.split.StagePlan` is reused, and the
-    ``split_plan.hit``/``split_plan.miss`` counters of the artifact
-    cache prove it. Any observable edit to the kernel (structure,
-    constants, init functions) changes the fingerprint and re-analyzes.
-    Plans hold init closures, so this layer is in-memory only; pass an
-    explicit ``cache`` to isolate (tests) or share one deliberately.
-    """
-    from repro.cache import get_artifact_cache, kernel_fingerprint
-    if cache is None:
-        cache = get_artifact_cache()
-    key = kernel_fingerprint(kernel)
-    plan = cache.get("split_plan", key)
-    if plan is None:
-        plan = analyze(kernel)
-        cache.put("split_plan", key, plan)
-    return CompiledPipeline(kernel, plan)
+def compile_kernel(kernel: GraphKernel) -> CompiledPipeline:
+    """Split, lint, and prepare ``kernel`` for lowering."""
+    return CompiledPipeline(kernel, analyze(kernel))

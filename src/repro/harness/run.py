@@ -188,8 +188,8 @@ def build_cgra_program(prepared: PreparedInput, config: SystemConfig,
 
     Pure function of its arguments — repeated compiles of the same
     prepared input and config produce equivalent programs, which is
-    what lets the artifact cache (split plans, stage-DFG mappings)
-    reuse products across runs."""
+    what lets the artifact cache (stage-DFG mappings, generated
+    step-function source) reuse products across runs."""
     app, data = prepared.app, prepared.data
     if app in GRAPH_APPS:
         module = get_workload(app)

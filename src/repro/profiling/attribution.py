@@ -79,9 +79,11 @@ class BlameMatrix:
                 for waiter, row in sorted(self.rows.items())}
 
 
-@dataclass(slots=True)
+@dataclass
 class _StallSpan:
     """One merged run of stalled cycles on a PE."""
+
+    __slots__ = ("start", "end", "bucket", "queue", "stage")
 
     start: float
     end: float

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -52,7 +52,7 @@ from repro.stats.cpi_stack import cpi_stack
 _EPS = 1e-9
 
 
-@dataclass(slots=True)
+@dataclass
 class TelemetryEvent:
     """One structured event: a timestamp, a kind, a source, a payload.
 
@@ -64,14 +64,18 @@ class TelemetryEvent:
     ``frozen``: frozen-dataclass construction routes every field
     through ``object.__setattr__``, roughly tripling the per-event
     cost on the armed-profiler path that
-    ``benchmarks/bench_telemetry_overhead.py`` budgets.
+    ``benchmarks/bench_telemetry_overhead.py`` budgets. Slots are
+    declared by hand (``dataclass(slots=True)`` needs Python 3.10), so
+    ``data`` has no default.
     """
+
+    __slots__ = ("cycle", "seq", "kind", "source", "data")
 
     cycle: float
     seq: int
     kind: str
     source: str
-    data: dict = field(default_factory=dict)
+    data: dict
 
     def as_dict(self) -> dict:
         return {"cycle": self.cycle, "seq": self.seq, "kind": self.kind,

@@ -3,9 +3,10 @@
 Graph analytics (BFS, CC, PageRank-Delta, Radii, SSSP) share the
 four-stage push pipeline of Fig. 2(a)/Fig. 10; SpMM uses the
 merge-intersect pipeline of Fig. 12(a); Silo uses the B+tree lookup
-pipeline of Fig. 12(b). SSSP's pipeline is generated from an annotated
-kernel by the decoupling front-end (:mod:`repro.frontend`) rather than
-written by hand. Every workload module provides:
+pipeline of Fig. 12(b). The BFS, CC and SSSP pipelines are generated
+from annotated kernels by the decoupling front-end
+(:mod:`repro.frontend`); the others are written by hand. Every workload
+module provides:
 
 * a pipeline-parallel :class:`~repro.core.program.Program` builder with
   ``decoupled`` (fully split) and ``merged`` (Fig. 17) variants,

@@ -4,7 +4,9 @@ BFS finds the distance from a source vertex to all reachable vertices.
 The pipeline splits at each level of indirection: process current
 fringe -> enumerate neighbors -> fetch distances -> update data / next
 fringe, replicated per shard with the fetch->update hop crossing shards
-by neighbor ownership.
+by neighbor ownership. It is generated from the annotated kernel in
+:mod:`repro.frontend.kernels`, the only description of the pipeline;
+this module keeps the golden serial reference.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.graphs import CSRGraph
-from repro.workloads.common import GraphPipelineWorkload
 
 
 def bfs_reference(graph: CSRGraph, source: int) -> np.ndarray:
@@ -33,58 +34,10 @@ def bfs_reference(graph: CSRGraph, source: int) -> np.ndarray:
     return distances
 
 
-class BFSWorkload(GraphPipelineWorkload):
-    """Pipeline-parallel BFS."""
-
-    name = "bfs"
-
-    def __init__(self, graph: CSRGraph, n_shards: int, source: int = 0):
-        self.source = source
-        super().__init__(graph, n_shards)
-
-    def setup(self) -> None:
-        n = self.graph.n_vertices
-        self.distances = np.full(n, -1, dtype=np.int64)
-        self.distances[self.source] = 0
-        self.dist_ref = self.space.alloc_array("distances", n)
-        self.memmap.register(self.dist_ref, self.distances)
-        self.current_distance = 1
-
-    def value_addr(self, ngh: int) -> int:
-        return self.dist_ref.addr(ngh)
-
-    def initial_fringe(self):
-        return [self.source]
-
-    def s3_update(self, ctx, shard: int, ngh: int, value, p0):
-        # The DRM-fetched value may be stale within an iteration; the
-        # authoritative check reads the array (hardware: the owner PE is
-        # the only writer of its vertices, so its L1 copy is current).
-        if self.distances[ngh] < 0:
-            self.distances[ngh] = self.current_distance
-            yield ("store", self.dist_ref.addr(ngh))
-            yield from self.push_touched(ctx, shard, ngh)
-
-    def at_barrier(self, iteration: int) -> None:
-        self.current_distance += 1
-
-    def result(self) -> np.ndarray:
-        return self.distances
-
-    def s3_extra_ops(self, b, value_node, payload_node):
-        # distances[ngh] < 0 ? current_distance : distances[ngh]; the
-        # iteration counter is a configuration-time constant and the
-        # edge payload is unused (BFS pushes no per-edge value).
-        unvisited = b.lt(value_node, b.const(0))
-        return b.sel(unvisited, b.const(0), value_node)
-
-
 def build(graph: CSRGraph, config, mode: str, variant: str = "decoupled",
           source: int = 0):
-    """Build a ready-to-run BFS program for ``mode`` on ``config``."""
-    from repro.workloads.common import shards_for_mode
+    """Build a ready-to-run BFS program via the decoupling front-end."""
+    from repro.frontend.kernels import get_frontend
 
-    n_stages = 4 if variant == "decoupled" else 2
-    workload = BFSWorkload(graph, shards_for_mode(config, mode, n_stages),
-                           source=source)
-    return workload.build_program(config, mode, variant), workload
+    return get_frontend("bfs").build(graph, config, mode, variant,
+                                     source=source)

@@ -5,7 +5,9 @@ algorithm propagates minimum labels: every vertex starts with its own id
 as its label; active vertices push their label to neighbors, a neighbor
 whose label shrinks becomes active, and the algorithm converges when no
 label changes. The pipeline shape is identical to BFS with the fetched
-value array being ``labels``.
+value array being ``labels``. It is generated from the annotated kernel
+in :mod:`repro.frontend.kernels`, the only description of the
+pipeline; this module keeps the golden serial reference.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.graphs import CSRGraph
-from repro.workloads.common import GraphPipelineWorkload
 
 
 def cc_reference(graph: CSRGraph) -> np.ndarray:
@@ -32,61 +33,8 @@ def cc_reference(graph: CSRGraph) -> np.ndarray:
     return labels
 
 
-class CCWorkload(GraphPipelineWorkload):
-    """Pipeline-parallel connected components."""
-
-    name = "cc"
-    # drm_off also fetches the vertex's current label (decoupled).
-    vertex_fetch_words = 1
-
-    def setup(self) -> None:
-        n = self.graph.n_vertices
-        self.labels = np.arange(n, dtype=np.int64)
-        self.labels_ref = self.space.alloc_array("labels", n)
-        self.memmap.register(self.labels_ref, self.labels)
-        # Per-shard dedup of next-fringe appends within an iteration.
-        self._in_next = [set() for _ in range(self.n_shards)]
-
-    def value_addr(self, ngh: int) -> int:
-        return self.labels_ref.addr(ngh)
-
-    def initial_fringe(self):
-        return range(self.graph.n_vertices)
-
-    def vertex_fetch_addrs(self, v: int) -> tuple:
-        return (self.labels_ref.addr(v),)
-
-    def vertex_process(self, ctx, shard: int, v: int, start: int, end: int):
-        # The label to push arrived with the decoupled vertex fetch; the
-        # authoritative value is re-read from the array.
-        return int(self.labels[v])
-        yield  # pragma: no cover
-
-    def s3_update(self, ctx, shard: int, ngh: int, value, p0):
-        if p0 < self.labels[ngh]:
-            self.labels[ngh] = p0
-            yield ("store", self.labels_ref.addr(ngh))
-            if ngh not in self._in_next[shard]:
-                self._in_next[shard].add(ngh)
-                yield from self.push_touched(ctx, shard, ngh)
-
-    def at_barrier(self, iteration: int) -> None:
-        for pending in self._in_next:
-            pending.clear()
-
-    def result(self) -> np.ndarray:
-        return self.labels
-
-    def vertex_extra_ops(self, b, v_node):
-        return b.ctrl(v_node)  # steer the fetched label into the payload
-
-    def s3_extra_ops(self, b, value_node, payload_node):
-        return b.sel(b.lt(payload_node, value_node), payload_node, value_node)
-
-
 def build(graph: CSRGraph, config, mode: str, variant: str = "decoupled"):
-    from repro.workloads.common import shards_for_mode
+    """Build a ready-to-run CC program via the decoupling front-end."""
+    from repro.frontend.kernels import get_frontend
 
-    n_stages = 4 if variant == "decoupled" else 2
-    workload = CCWorkload(graph, shards_for_mode(config, mode, n_stages))
-    return workload.build_program(config, mode, variant), workload
+    return get_frontend("cc").build(graph, config, mode, variant)

@@ -1,6 +1,8 @@
 """Shared machinery for the four-stage graph pipelines.
 
-All four graph workloads use the decoupled pipeline of paper Fig. 2(a):
+Every graph workload uses the decoupled pipeline of paper Fig. 2(a)
+(PRD and Radii subclass it by hand; BFS, CC and SSSP are generated
+from kernels by :mod:`repro.frontend.lower`):
 
   S0 process fringe -> S1 enumerate neighbors -> S2 fetch values
      -> S3 update data / next fringe
@@ -524,10 +526,10 @@ class GraphPipelineWorkload:
         from repro.core.pe import StageLivelockError
 
         q = self.q
-        simple = self.edge_fetch_words == 1
-        trivial_vp = (type(self).vertex_process
-                      is GraphPipelineWorkload.vertex_process)
-        shape = StageShape(role, simple_edges=simple, trivial_vp=trivial_vp)
+        # The S0 and S3 sources do not read simple_edges; keeping its
+        # default there lets one source per role serve every workload.
+        simple = self.edge_fetch_words == 1 or role in ("s0", "s3")
+        shape = StageShape(role, simple_edges=simple)
         bindings = {
             "workload": self,
             "shard": shard,

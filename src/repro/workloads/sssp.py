@@ -1,11 +1,11 @@
 """Single-source shortest paths — generated entirely by the front-end.
 
-Unlike the other graph workloads, SSSP has no hand-written pipeline: the
-annotated kernel in :mod:`repro.frontend.kernels` is the only
-description, and :func:`build` lowers it through the decoupling
-front-end. It exercises the edge-state path no hand-written workload
-uses — a second word (the edge weight) fetched by ``drm_ngh`` alongside
-``neighbors[e]`` and folded into the cross-shard payload at S2.
+Like BFS and CC, SSSP has no hand-written pipeline: the annotated
+kernel in :mod:`repro.frontend.kernels` is the only description, and
+:func:`build` lowers it through the decoupling front-end. It exercises
+the edge-state path no other workload uses — a second word (the edge
+weight) fetched by ``drm_ngh`` alongside ``neighbors[e]`` and folded
+into the cross-shard payload at S2.
 
 The pipeline is label-correcting: a relaxation may use a stale (only
 ever too-high) source distance, but the update stage re-checks against

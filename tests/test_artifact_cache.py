@@ -2,12 +2,11 @@
 
 Locks the tentpole properties of :mod:`repro.cache`:
 
-* a repeat compile of an unchanged kernel performs **no split
-  analysis** and a repeat mapping of an unchanged DFG performs **no
-  placement** (hit counters plus raising stubs prove it);
+* a repeat mapping of an unchanged DFG performs **no placement** (hit
+  counters plus a raising stub prove it);
 * any observable edit to a kernel — constant, predicate, init
-  function — changes its fingerprint, so the cache misses instead of
-  serving a stale plan;
+  function — changes its fingerprint (``repro advise --apply``
+  compares the hand-marked and auto-split kernels by it);
 * the disk layer survives process boundaries (modeled as fresh cache
   instances), tolerates corruption, and namespaces by code version;
 * ``repro cache stats|gc`` reports and prunes the disk layer.
@@ -23,7 +22,6 @@ from repro.cgra import FabricSpec, map_dfg, map_dfg_cached
 from repro.config import FabricConfig
 from repro.frontend.kernel import GraphKernel
 from repro.frontend.kernels import bfs_kernel, cc_kernel, sssp_kernel
-from repro.frontend.lower import compile_kernel
 from repro.ir import DFGBuilder
 
 
@@ -125,46 +123,40 @@ class TestFingerprints:
 class TestArtifactCache:
     def test_memory_roundtrip_and_counters(self):
         cache = ArtifactCache()
-        assert cache.get("split_plan", "aa" * 32) is None
-        cache.put("split_plan", "aa" * 32, {"plan": 1})
-        assert cache.get("split_plan", "aa" * 32) == {"plan": 1}
-        assert cache.counters == {"split_plan.miss": 1,
-                                  "split_plan.store": 1,
-                                  "split_plan.hit": 1}
+        assert cache.get("mapping", "aa" * 32) is None
+        cache.put("mapping", "aa" * 32, {"plan": 1})
+        assert cache.get("mapping", "aa" * 32) == {"plan": 1}
+        assert cache.counters == {"mapping.miss": 1,
+                                  "mapping.store": 1,
+                                  "mapping.hit": 1}
 
     def test_disk_layer_survives_process_boundary(self, tmp_path):
         key = "bb" * 32
         first = ArtifactCache(root=tmp_path)
-        first.put("describe", key, {"stages": [1, 2]})
+        first.put("codegen", key, {"stages": [1, 2]})
         # a new instance models a fresh process: memory empty, disk warm
         second = ArtifactCache(root=tmp_path)
-        assert second.get("describe", key) == {"stages": [1, 2]}
-        assert second.counters["describe.disk_hit"] == 1
+        assert second.get("codegen", key) == {"stages": [1, 2]}
+        assert second.counters["codegen.disk_hit"] == 1
         # and the entry was promoted into memory
-        assert second.get("describe", key) == {"stages": [1, 2]}
-        assert second.counters["describe.hit"] == 2
-        assert second.counters["describe.disk_hit"] == 1
-
-    def test_split_plans_are_memory_only(self, tmp_path):
-        cache = ArtifactCache(root=tmp_path)
-        cache.put("split_plan", "cc" * 32, object())
-        fresh = ArtifactCache(root=tmp_path)
-        assert fresh.get("split_plan", "cc" * 32) is None
+        assert second.get("codegen", key) == {"stages": [1, 2]}
+        assert second.counters["codegen.hit"] == 2
+        assert second.counters["codegen.disk_hit"] == 1
 
     def test_corrupt_disk_entry_is_a_miss_and_removed(self, tmp_path):
         key = "dd" * 32
         cache = ArtifactCache(root=tmp_path)
-        cache.put("describe", key, {"ok": True})
-        path = cache._disk_path("describe", key)
+        cache.put("codegen", key, {"ok": True})
+        path = cache._disk_path("codegen", key)
         path.write_bytes(b"{truncated")
         fresh = ArtifactCache(root=tmp_path)
-        assert fresh.get("describe", key) is None
-        assert fresh.counters["describe.disk_read_error"] == 1
+        assert fresh.get("codegen", key) is None
+        assert fresh.counters["codegen.disk_read_error"] == 1
         assert not path.exists()
 
     def test_gc_prunes_stale_code_versions(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
-        cache.put("describe", "ee" * 32, {"v": 1})
+        cache.put("codegen", "ee" * 32, {"v": 1})
         stale = tmp_path / "artifacts" / ("0" * 16)
         stale.mkdir(parents=True)
         (stale / "junk.json").write_text("{}")
@@ -173,40 +165,17 @@ class TestArtifactCache:
         removed = cache.gc()
         assert removed["removed_dirs"] == 1
         assert cache.stats()["disk"]["stale_versions"] == 0
-        assert cache.get("describe", "ee" * 32) == {"v": 1}
+        assert cache.get("codegen", "ee" * 32) == {"v": 1}
         removed = cache.gc(all_versions=True)
         assert removed["removed_dirs"] == 1
-        assert ArtifactCache(root=tmp_path).get("describe",
+        assert ArtifactCache(root=tmp_path).get("codegen",
                                                 "ee" * 32) is None
 
 
-# -- reuse oracles: no re-analysis, no re-mapping --------------------------
+# -- reuse oracles: no re-mapping ------------------------------------------
 
 
 class TestCompileReuse:
-    def test_repeat_compile_performs_no_split_analysis(self, monkeypatch):
-        cache = ArtifactCache()
-        compile_kernel(bfs_kernel(), cache=cache)
-        assert cache.counters == {"split_plan.miss": 1,
-                                  "split_plan.store": 1}
-
-        # Stronger than counters: re-analysis would have to call
-        # analyze(), which we now make explosive.
-        def boom(kernel):
-            raise AssertionError("split analysis ran on a warm cache")
-
-        monkeypatch.setattr("repro.frontend.lower.analyze", boom)
-        pipeline = compile_kernel(bfs_kernel(), cache=cache)
-        assert cache.counters["split_plan.hit"] == 1
-        assert pipeline.describe()["feed_forward"] is True
-
-    def test_edited_kernel_reanalyzes(self):
-        cache = ArtifactCache()
-        compile_kernel(bfs_kernel(), cache=cache)
-        compile_kernel(cc_kernel(), cache=cache)
-        assert cache.counters["split_plan.miss"] == 2
-        assert "split_plan.hit" not in cache.counters
-
     def test_repeat_mapping_performs_no_placement(self, monkeypatch):
         cache = ArtifactCache()
         fabric = _fabric()
@@ -244,26 +213,6 @@ class TestCompileReuse:
         assert fresh.counters["mapping.disk_hit"] == 1
 
 
-class TestDescribeCached:
-    def test_describe_cached_matches_direct(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.cache import configure_artifact_cache
-        from repro.frontend import describe_cached, get_frontend
-        cache = configure_artifact_cache(tmp_path)
-        try:
-            direct = get_frontend("sssp").describe()
-            assert describe_cached("sssp") == direct
-            assert cache.counters["describe.miss"] == 1
-            assert describe_cached("sssp") == direct
-            assert cache.counters["describe.hit"] == 1
-            # fresh process: served from disk as JSON
-            fresh = configure_artifact_cache(tmp_path)
-            assert describe_cached("sssp") == direct
-            assert fresh.counters["describe.disk_hit"] == 1
-        finally:
-            configure_artifact_cache(None)
-
-
 class TestCacheCli:
     def test_stats_and_gc(self, tmp_path, monkeypatch, capsys):
         from repro.cache import configure_artifact_cache
@@ -277,7 +226,7 @@ class TestCacheCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         configure_artifact_cache(tmp_path)
         try:
-            assert cli_main(["compile", "sssp", "--json"]) == 0
+            assert cli_main(["compile", "sssp", "--emit-python"]) == 0
             capsys.readouterr()
             stats = cache_cli("stats")
             assert set(stats) == {"root", "artifacts"}

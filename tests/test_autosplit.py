@@ -19,10 +19,10 @@ from repro.analysis.autosplit import (AutosplitError, SplitCostModel,
                                       infer_split)
 from repro.analysis.depgraph import (build_dependence_graph, clone_kernel,
                                      strip_annotations)
-from repro.cache import ArtifactCache, kernel_fingerprint
+from repro.cache import kernel_fingerprint
 from repro.config import SystemConfig
 from repro.core import ENGINES, System
-from repro.frontend import FrontendError, compile_kernel
+from repro.frontend import FrontendError, analyze, compile_kernel
 from repro.frontend.kernel import GraphKernel
 from repro.frontend.kernels import FRONTEND_KERNELS
 from repro.frontend.lower import _demo_graph
@@ -112,7 +112,7 @@ def test_strip_removes_every_marking(name):
 def test_stripped_kernel_refuses_to_compile():
     stripped = strip_annotations(FRONTEND_KERNELS["bfs"]())
     with pytest.raises(FrontendError, match="repro advise"):
-        compile_kernel(stripped, cache=ArtifactCache())
+        compile_kernel(stripped)
 
 
 # -- inference: parity with the hand-marked kernels (satellite d) ----------
@@ -218,10 +218,32 @@ def test_apply_and_verify_manifest(name):
                for s in manifest["stage_dataflow"])
 
 
+@pytest.mark.parametrize("name", sorted(FRONTEND_KERNELS))
+def test_apply_and_verify_analyzes_both_kernels(name, monkeypatch):
+    """The hand-marked description comes from its own split analysis.
+
+    The two kernels have equal fingerprints, so a plan looked up by
+    fingerprint would describe the hand-marked kernel with the
+    auto-split plan and ``describe.equal`` would compare a plan with
+    itself."""
+    from repro.frontend import lower
+    analyzed = []
+
+    def recording_analyze(kernel):
+        analyzed.append(kernel)
+        return analyze(kernel)
+
+    monkeypatch.setattr(lower, "analyze", recording_analyze)
+    kernel = FRONTEND_KERNELS[name]()
+    manifest = apply_and_verify(kernel)
+    assert len(analyzed) == 2
+    assert sum(k is kernel for k in analyzed) == 1
+    assert manifest["describe"]["equal"]
+
+
 def _run(kernel, engine):
-    cache = ArtifactCache()
     config = SystemConfig()
-    program, _ = compile_kernel(kernel, cache=cache).build(
+    program, _ = compile_kernel(kernel).build(
         _demo_graph(), config, "fifer", "decoupled")
     return System(config, program, mode="fifer").run(engine=engine)
 
@@ -259,10 +281,10 @@ def test_unannotated_kernel_end_to_end():
             k.push(ngh)
 
     with pytest.raises(FrontendError):
-        compile_kernel(k, cache=ArtifactCache())
+        compile_kernel(k)
     applied = apply_split(k, infer_split(k))
     assert kernel_fingerprint(applied) == kernel_fingerprint(hand)
-    compile_kernel(applied, cache=ArtifactCache())  # splits and lints
+    compile_kernel(applied)  # splits and lints
 
 
 # -- property test: inference across the kernel design space --------------
@@ -323,7 +345,7 @@ def test_inferred_split_matches_across_design_space(
     applied = apply_split(unmarked, advice)
     assert kernel_fingerprint(applied) == kernel_fingerprint(hand)
     # The applied artifact passes split analysis and lint.
-    compile_kernel(applied, cache=ArtifactCache())
+    compile_kernel(applied)
     # And the advice matches the hand markings directly.
     assert advise_kernel(hand).matches_hand_marked is True
 

@@ -36,8 +36,6 @@ _BENCHES = [
     ("bench_fig17_merged_stages", "run_fig17", "fig17_merged_stages", True),
     ("bench_fine_grained_estimate", "run_fine_grained",
      "fine_grained_estimate", True),
-    ("bench_frontend_parity", "run_frontend_parity", "frontend_parity",
-     False),
     ("bench_scaling", "run_scaling", "scaling", True),
     ("bench_scheduler_policy", "run_scheduler_policy", "scheduler_policy",
      True),

@@ -24,8 +24,8 @@ from repro.cli import main as cli_main
 from repro.codegen import (CODEGEN_VERSION, ROLES, StageShape, bind_system,
                            emitted_count, source_for, stage_source)
 from repro.harness import prepare_input, run_experiment
+from repro.frontend import get_frontend
 from repro.ir import DFGBuilder
-from repro.workloads.bfs import BFSWorkload
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,8 @@ def bfs_prepared():
 
 
 def _bfs_workload(n_shards=2):
-    return BFSWorkload(prepare_input("bfs", "Hu", scale=0.1).data,
-                       n_shards=n_shards)
+    return get_frontend("bfs").workload(
+        prepare_input("bfs", "Hu", scale=0.1).data, n_shards)
 
 
 def _bfs_shapes():
@@ -51,8 +51,8 @@ class TestDeterminism:
 
     def test_same_shape_emits_identical_source(self):
         for role in ROLES:
-            shape = StageShape(role, simple_edges=True, trivial_vp=False)
-            again = StageShape(role, simple_edges=True, trivial_vp=False)
+            shape = StageShape(role, simple_edges=True)
+            again = StageShape(role, simple_edges=True)
             assert stage_source(shape) == stage_source(again)
             assert shape.key() == again.key()
 
@@ -60,18 +60,16 @@ class TestDeterminism:
         keys, sources = set(), set()
         for role in ROLES:
             for simple in (False, True):
-                for trivial in (False, True):
-                    shape = StageShape(role, simple_edges=simple,
-                                       trivial_vp=trivial)
-                    keys.add(shape.key())
-                    sources.add(stage_source(shape))
-        # s2/s3 don't depend on both axes, so sources collapse — but
-        # every (role, axes) combination still compiles.
-        assert len(keys) == len(ROLES) * 4
+                shape = StageShape(role, simple_edges=simple)
+                keys.add(shape.key())
+                sources.add(stage_source(shape))
+        # s0/s3 don't read simple_edges, so their sources collapse —
+        # but every (role, simple_edges) pair still has its own key.
+        assert len(keys) == len(ROLES) * 2
         assert len(sources) >= len(ROLES)
 
     def test_key_is_versioned(self):
-        shape = StageShape("s1", simple_edges=True, trivial_vp=False)
+        shape = StageShape("s1", simple_edges=True)
         assert CODEGEN_VERSION in repr(stage_source(shape))
         # The key is a stable hex digest (cache addressing).
         key = shape.key()
@@ -274,8 +272,7 @@ class TestEmitPythonCLI:
         header = next(line for line in record["source"].splitlines()
                       if line.startswith("# shape:"))
         shape = StageShape("s1",
-                           simple_edges="simple_edges=True" in header,
-                           trivial_vp="trivial_vp=True" in header)
+                           simple_edges="simple_edges=True" in header)
         assert record["source"] == stage_source(shape)
         assert record["key"] == shape.key()
 

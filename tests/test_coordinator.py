@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.stage import STOP_VALUE
 from repro.datasets.graphs import power_law_graph
+from repro.frontend import get_frontend
 from repro.queues import Queue
-from repro.workloads.bfs import BFSWorkload
 from repro.workloads.common import IterationCoordinator
 
 
@@ -25,7 +25,7 @@ class _FakeSystem:
 @pytest.fixture
 def setup():
     graph = power_law_graph(60, 4.0, seed=60)
-    workload = BFSWorkload(graph, n_shards=4, source=0)
+    workload = get_frontend("bfs").workload(graph, 4)
     barrier = Queue("bfs.barrier", 16)
     coordinator = IterationCoordinator(workload, barrier)
     system = _FakeSystem(workload)

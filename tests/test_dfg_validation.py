@@ -5,8 +5,8 @@ Locks down the checks the front-end's lowering pass relies on: strict
 multiply-driven registers, and :func:`repro.ir.dfg.check_queue_wiring`
 rejects ENQ/DEQ queue-name mismatches — each with an error naming the
 offending node and stage. Finally, every stage DFG of every workload
-(hand-written and generated, decoupled and merged) must pass the strict
-checks.
+(hand-written PRD and Radii, and the generated BFS, CC and SSSP;
+decoupled and merged) must pass the strict checks.
 """
 
 import pytest
@@ -15,8 +15,6 @@ from repro.frontend import FRONTEND_KERNELS, get_frontend
 from repro.frontend.lower import _demo_graph
 from repro.ir import DFGBuilder
 from repro.ir.dfg import DFGError, check_queue_wiring
-from repro.workloads.bfs import BFSWorkload
-from repro.workloads.cc import CCWorkload
 from repro.workloads.prdelta import PRDeltaWorkload
 from repro.workloads.radii import RadiiWorkload
 
@@ -144,8 +142,8 @@ def test_wiring_accepts_drm_and_external_endpoints():
 # -- every workload stage passes strict validation -------------------------
 
 _WORKLOADS = {
-    "bfs": lambda g: BFSWorkload(g, 2),
-    "cc": lambda g: CCWorkload(g, 2),
+    "bfs": lambda g: get_frontend("bfs").workload(g, 2),
+    "cc": lambda g: get_frontend("cc").workload(g, 2),
     "prd": lambda g: PRDeltaWorkload(g, 2),
     "radii": lambda g: RadiiWorkload(g, 2),
     "sssp": lambda g: get_frontend("sssp").workload(g, 2),

@@ -3,9 +3,9 @@
 Covers the three front-end layers in isolation: the kernel-description
 DSL (:mod:`repro.frontend.kernel`), the split analysis with its
 liveness-derived calling convention (:mod:`repro.frontend.split`), and
-the pipeline linter (:mod:`repro.frontend.lint`). End-to-end parity of
-the *lowered* pipelines against the hand-written ones is asserted in
-``test_frontend_parity.py``.
+the pipeline linter (:mod:`repro.frontend.lint`). The *lowered*
+pipelines are checked end to end against the recorded outputs of the
+retired hand-written ones in ``test_frontend_parity.py``.
 """
 
 import numpy as np

@@ -6,14 +6,14 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.datasets.graphs import power_law_graph
-from repro.workloads.bfs import BFSWorkload
+from repro.frontend import get_frontend
 from repro.workloads.common import shard_of
 
 
 @pytest.fixture
 def workload():
     graph = power_law_graph(100, 4.0, seed=40)
-    return BFSWorkload(graph, n_shards=4, source=0)
+    return get_frontend("bfs").workload(graph, 4)
 
 
 class TestFringeBuffers:
@@ -45,7 +45,7 @@ class TestFringeBuffers:
 
     def test_iteration_cap(self):
         graph = power_law_graph(100, 4.0, seed=41)
-        workload = BFSWorkload(graph, n_shards=4, source=0)
+        workload = get_frontend("bfs").workload(graph, 4)
         workload.max_iterations = 1
         assert workload.barrier_step(0) is not None
         workload._append_touched(0, 5)  # pretend S3 found work
@@ -69,7 +69,7 @@ class TestProgramAssembly:
 
     def test_static_layout_one_stage_per_pe(self):
         graph = power_law_graph(100, 4.0, seed=42)
-        workload = BFSWorkload(graph, n_shards=4, source=0)
+        workload = get_frontend("bfs").workload(graph, 4)
         config = SystemConfig(n_pes=16)
         program = workload.build_program(config, "static")
         assert program.n_pes == 16
