@@ -1,31 +1,43 @@
 """Deterministic Python source generation for pipeline stages and DRMs.
 
-Each of the four decoupled graph-pipeline stage shapes (S0 process
-fringe, S1 enumerate neighbors, S2 fetch values, S3 update — paper
-Fig. 2(a)) compiles to a flat *step-function*: straight-line Python
-that inlines the request protocol of ``PE._try_perform`` /
-``PE._execute`` — and the queue transfer bodies of ``Queue.enq`` /
-``Queue.deq`` — for the stage's fixed deq→compute→enq skeleton, with
-queues, counters, and cost constants bound as locals. The coroutine
-trampoline (request tuple allocation, ``gen.send``, string dispatch on
-the request kind, ``io_cost`` calls, queue method dispatch) disappears
-from the per-token hot path; only the per-workload hook sub-generators
-(``vertex_process`` / ``s3_update``) still run as coroutines, driven
-by a mini-trampoline that inlines their dominant load/store requests
-and routes anything else through the generic ``pe._try_perform``.
+Every stage step-function inlines the request protocol of
+``PE._try_perform`` / ``PE._execute`` — and the queue transfer bodies
+of ``Queue.enq`` / ``Queue.deq`` — with counters, cost constants and
+the L1 bound as locals. Two kinds of stage shape exist:
+
+* Each of the four decoupled graph-pipeline stage shapes (S0 process
+  fringe, S1 enumerate neighbors, S2 fetch values, S3 update — paper
+  Fig. 2(a)) compiles to a flat body for the stage's fixed
+  deq→compute→enq skeleton, its queues bound at bind time. The
+  coroutine trampoline (request tuple allocation, ``gen.send``, string
+  dispatch on the request kind, ``io_cost`` calls, queue method
+  dispatch) disappears from the per-token hot path.
+* The one generic ``interp`` shape (:data:`INTERP`) drives any stage's
+  coroutine, with the request loop itself generated: queue requests
+  resolve their queue per request through ``pe._qcache``, and
+  dequeues, enqueues, loads and stores run inline. The fast engine
+  binds it to every stage without a generated body.
+
+One emitter, :func:`_request_loop`, drives every generator: the interp
+shape's coroutine and the per-workload hook sub-generators
+(``vertex_process`` / ``s3_update``) inside the S1 and S3 bodies. The
+rare requests (``try_deq``, ``peek``, ``cycles``) go through the
+generic ``pe._try_perform``.
 
 Exactness is structural: every inlined fragment is a literal replica
 of the interpreted code it replaces (the fragment builders below name
-their originals), including counter update order, probe emission
-guards, credit bookkeeping, the zero-cost livelock guard, and the
-budget-before-satisfiability check ordering.
+their originals), including counter update order and key creation
+order, probe emission guards, credit bookkeeping, the zero-cost
+livelock guard, and the budget-before-satisfiability check ordering.
+``PE._execute`` stays the oracle (tests/test_interp_codegen.py).
 
-Suspension is explicit: the generated function is a state machine over
-a small program counter plus loop counters kept in ``stage.cg``; a
+Suspension is explicit: a skeleton body is a state machine over a
+small program counter plus loop counters kept in ``stage.cg``; a
 blocked or budget-exhausted request saves the pc and sets
 ``stage.pending`` to the exact request tuple the interpreter would
 have left there, so schedulers, deadlock reports, and quiescence
-checks observe identical state.
+checks observe identical state. The interp shape keeps its state where
+the interpreter does: in the coroutine and ``stage.pending``.
 
 Source text is a pure function of the :class:`StageShape` — it never
 embeds queue names, shard ids, or addresses (those bind at
@@ -49,7 +61,7 @@ from repro.cache.content import sha256_text
 # Bump when the emitted code changes in any way that should invalidate
 # cached sources independently of the surrounding package (the on-disk
 # artifact cache is additionally namespaced by code_version()).
-CODEGEN_VERSION = "5"
+CODEGEN_VERSION = "6"
 
 ROLES = ("s0", "s1", "s2", "s3")
 
@@ -58,7 +70,9 @@ ROLES = ("s0", "s1", "s2", "s3")
 class StageShape:
     """Everything the generated source depends on — and nothing else.
 
-    ``role`` names one of the four decoupled skeleton stages.
+    ``role`` names one of the four decoupled skeleton stages, or
+    ``interp``: the one generic shape (:data:`INTERP`) that drives any
+    stage's coroutine.
     ``simple_edges`` is the ``edge_fetch_words == 1`` fast path of
     S1/S2; the S0 and S3 sources do not read it.
     """
@@ -67,9 +81,10 @@ class StageShape:
     simple_edges: bool = True
 
     def __post_init__(self):
-        if self.role not in ROLES:
+        if self.role not in ROLES + ("interp",):
             raise ValueError(
-                f"unknown codegen role {self.role!r}; choose from {ROLES}")
+                f"unknown codegen role {self.role!r}; choose from "
+                f"{ROLES + ('interp',)}")
 
     @property
     def name(self) -> str:
@@ -80,6 +95,11 @@ class StageShape:
         """Content-address of the source this shape emits."""
         return sha256_text("codegen/v" + CODEGEN_VERSION, self.role,
                            repr(bool(self.simple_edges)))
+
+
+#: The generic step-function shape the fast engine binds to every stage
+#: without a generated body.
+INTERP = StageShape("interp")
 
 
 #: DRM modes with a generated step-function; strided DRMs keep the
@@ -152,8 +172,9 @@ def _pad(indent: int) -> str:
 #
 # One source text per inlined primitive: the stage emitter and the DRM
 # emitter both build their hot paths from these three. Each takes its
-# queue by prefix ``q`` and expects the bind-time locals ``q_<q>``,
-# ``<q>_tok``, ``<q>_credits`` and ``<Q>_NAME``.
+# queue by prefix ``q`` and expects the locals ``q_<q>``, ``<q>_tok``,
+# ``<q>_credits`` and ``<Q>_NAME`` (bound at bind time, or per request
+# by the request loop, which passes the name expression instead).
 
 
 def _credit(pad: str, q: str, producer: str, op: str, words: str,
@@ -167,12 +188,15 @@ def _credit(pad: str, q: str, producer: str, op: str, words: str,
     return [f"{pad}{q}_credits[{producer}] {op} {words}"] if credited else []
 
 
-def _queue_deq(indent: int, q: str, words: str, credited=None) -> list:
+def _queue_deq(indent: int, q: str, words: str, credited=None,
+               name: str = "") -> list:
     """Queue.deq's transfer, minus the emptiness raise the caller's gate
     already ruled out: pop the head into ``token``, release ``tw``
     (``words``, evaluated after the pop so it may inspect ``token``),
-    refund the producer's credit, probe."""
+    refund the producer's credit, probe. ``name`` is the expression of
+    the queue's name (default: the bind-time ``<Q>_NAME``)."""
     pad = _pad(indent)
+    name = name or f"{q.upper()}_NAME"
     return [
         f"{pad}token = {q}_tok.popleft()",
         f"{pad}tw = {words}",
@@ -180,18 +204,20 @@ def _queue_deq(indent: int, q: str, words: str, credited=None) -> list:
         *_credit(pad, q, "token.producer", "+=", "tw", credited),
         f"{pad}qp = q_{q}.probe",
         f'{pad}if qp is not None and "queue.deq" in qp.bus.wants:',
-        f'{pad}    qp.emit("queue.deq", queue={q.upper()}_NAME, words=tw,',
+        f'{pad}    qp.emit("queue.deq", queue={name}, words=tw,',
         f"{pad}            occupancy=q_{q}._occupancy_words)",
     ]
 
 
 def _queue_enq(indent: int, q: str, value: str, ctl: str, words: str,
-               credited=None, reuse: bool = False) -> list:
+               credited=None, reuse: bool = False, name: str = "") -> list:
     """Queue.enq's transfer, minus the full-queue raise the caller's gate
     already ruled out: credit debit, token append, occupancy,
     total_enqueued, probe. ``reuse`` refills the just-dequeued data
-    ``token`` instead of allocating one (nothing else holds it)."""
+    ``token`` instead of allocating one (nothing else holds it);
+    ``name`` as for :func:`_queue_deq`."""
     pad = _pad(indent)
+    name = name or f"{q.upper()}_NAME"
     if reuse:
         append = [f"{pad}token.value = {value}",
                   f"{pad}token.producer = producer",
@@ -205,8 +231,7 @@ def _queue_enq(indent: int, q: str, value: str, ctl: str, words: str,
         f"{pad}q_{q}.total_enqueued += 1",
         f"{pad}qp = q_{q}.probe",
         f'{pad}if qp is not None and "queue.enq" in qp.bus.wants:',
-        f'{pad}    qp.emit("queue.enq", queue={q.upper()}_NAME, '
-        f"words={words},",
+        f'{pad}    qp.emit("queue.enq", queue={name}, words={words},',
         f"{pad}            occupancy=q_{q}._occupancy_words, control={ctl})",
     ]
 
@@ -245,32 +270,51 @@ def _region_read(indent: int, slot: int, addr: str, out: str) -> list:
     ]
 
 
+def _carry(indent: int) -> str:
+    """Load the carried state at step entry: the SIMD I/O totals and the
+    counter totals. ``c_dirty`` marks ``issued`` written; ``t_dirty``
+    marks a dequeue, which writes ``tokens`` and ``fabric_ops`` too."""
+    pad = _pad(indent)
+    return "\n".join([
+        f"{pad}wd = stage.work_deq",
+        f"{pad}we = stage.work_enq",
+        f'{pad}c_iss = counters.get("issued", 0.0)',
+        f'{pad}c_tok = counters.get("tokens", 0.0)',
+        f'{pad}c_fab = counters.get("fabric_ops", 0.0)',
+        f"{pad}c_dirty = t_dirty = False",
+    ])
+
+
 def _flush_counters(indent: int, reset: bool = False) -> str:
     """Write the locally-carried counter totals back to pe.counters.
 
     The locals carry the same running totals the interpreter keeps in
-    the dict (same left-fold order, so bit-exact); ``c_dirty`` gates
-    the writeback so a step that performed no queue op creates no keys
-    the interpreter would not have created.
+    the dict (same left-fold order, so bit-exact). The dirty flags gate
+    the writeback so a step creates exactly the keys the interpreter
+    would have created, in its order: an enqueue or ``cycles`` request
+    writes only ``issued``, a dequeue all three.
     """
     pad = _pad(indent)
     lines = [
-        f"{pad}if c_dirty:",
+        f"{pad}if t_dirty:",
         f'{pad}    counters["issued"] = c_iss',
         f'{pad}    counters["tokens"] = c_tok',
         f'{pad}    counters["fabric_ops"] = c_fab',
+        f"{pad}elif c_dirty:",
+        f'{pad}    counters["issued"] = c_iss',
     ]
     if reset:
-        lines.append(f"{pad}    c_dirty = False")
+        lines.append(f"{pad}c_dirty = t_dirty = False")
     return "\n".join(lines)
 
 
-def _save(indent: int, pc: int, pending: str, extra=()) -> str:
-    """Suspend: persist the pc (+ loop state), the exact pending
+def _save(indent: int, pc, pending: str, extra=()) -> str:
+    """Suspend: persist the pc (+ loop state; ``pc`` None for the
+    interp shape, whose coroutine holds its own), the exact pending
     request tuple, the counter totals, and the running SIMD I/O
     totals."""
     pad = _pad(indent)
-    lines = [f"{pad}cg[0] = {pc}"]
+    lines = [] if pc is None else [f"{pad}cg[0] = {pc}"]
     lines += [pad + line for line in extra]
     lines += [
         _flush_counters(indent),
@@ -299,40 +343,71 @@ def _streak(indent: int, pending: str) -> str:
     ])
 
 
-def _deq_site(indent: int, q: str, pc: int, pending: str, extra=()) -> str:
-    """One blocking dequeue, fully inlined.
+def _io_cost(indent: int, side: str, control) -> list:
+    """StageInstance.io_cost open-coded against the bind-time constants
+    ``ctl_inc`` / ``inv_r``: ``side`` is the running total a data token
+    advances (``wd`` dequeue, ``we`` enqueue); ``control`` is True or
+    False when fixed at emission time, else the expression tested at
+    run time."""
+    pad = _pad(indent)
+    ctl = [f"{pad}top = (wd if wd >= we else we) + ctl_inc",
+           f"{pad}wd = we = top",
+           f"{pad}cost = ctl_inc"]
+    data = [f"{pad}before = wd if wd >= we else we",
+            f"{pad}{side} += inv_r",
+            f"{pad}cost = (wd if wd >= we else we) - before"]
+    if control is True:
+        return ctl
+    if control is False:
+        return data
+    return ([f"{pad}if {control}:"] + ["    " + line for line in ctl]
+            + [f"{pad}else:"] + ["    " + line for line in data])
 
-    The budget/emptiness gate and the cost accounting mirror
-    PE._try_perform's "deq" arm (StageInstance.io_cost open-coded
-    against the bind-time constants ctl_inc / inv_r); the token
-    transfer itself is :func:`_queue_deq`.
+
+def _deq_cost(indent: int) -> list:
+    """PE._try_perform's "deq" accounting after the transfer."""
+    pad = _pad(indent)
+    return [
+        *_io_cost(indent, "wd", "token.is_control"),
+        f"{pad}spent += cost",
+        f"{pad}c_iss += cost",
+        f"{pad}c_tok += 1.0",
+        f"{pad}c_fab += n_ops",
+        f"{pad}t_dirty = True",
+    ]
+
+
+def _enq_cost(indent: int, control) -> list:
+    """PE._try_perform's "enq" accounting after the transfer."""
+    pad = _pad(indent)
+    return [
+        *_io_cost(indent, "we", control),
+        f"{pad}spent += cost",
+        f"{pad}c_iss += cost",
+        f"{pad}c_dirty = True",
+    ]
+
+
+def _deq_site(indent: int, q: str, pc: int, pending: str, extra=()) -> str:
+    """One blocking dequeue from a bind-time queue, fully inlined.
+
+    The budget/emptiness gate mirrors PE._try_perform's "deq" arm; the
+    token transfer is :func:`_queue_deq`, the accounting
+    :func:`_deq_cost`.
     """
     pad = _pad(indent)
     return "\n".join([
         f"{pad}if spent >= budget or not {q}_tok:",
         _save(indent + 4, pc, pending, extra),
         *_queue_deq(indent, q, f"1 if token.is_control else {q}_words"),
-        # -- io_cost + counters (PE._try_perform "deq") --
-        f"{pad}if token.is_control:",
-        f"{pad}    top = (wd if wd >= we else we) + ctl_inc",
-        f"{pad}    wd = we = top",
-        f"{pad}    cost = ctl_inc",
-        f"{pad}else:",
-        f"{pad}    before = wd if wd >= we else we",
-        f"{pad}    wd += inv_r",
-        f"{pad}    cost = (wd if wd >= we else we) - before",
-        f"{pad}spent += cost",
-        f"{pad}c_iss += cost",
-        f"{pad}c_tok += 1.0",
-        f"{pad}c_fab += n_ops",
-        f"{pad}c_dirty = True",
+        *_deq_cost(indent),
         _streak(indent, pending),
     ])
 
 
 def _enq_site(indent: int, q: str, value: str, control: bool,
               pc: int, pending: str, extra=()) -> str:
-    """One blocking enqueue, fully inlined.
+    """One blocking enqueue to a bind-time queue, fully inlined.
 
     The budget check short-circuits before any capacity check so a
     budget-exhausted stage never emits a spurious credit_stall probe,
@@ -346,7 +421,7 @@ def _enq_site(indent: int, q: str, value: str, control: bool,
     pad = _pad(indent)
     ctl = "True" if control else "False"
     words = "1" if control else f"{q}_words"
-    lines = [
+    return "\n".join([
         f"{pad}if spent >= budget:",
         _save(indent + 4, pc, pending, extra),
         f"{pad}if {q}_credits is None:",
@@ -355,100 +430,122 @@ def _enq_site(indent: int, q: str, value: str, control: bool,
         f"{pad}elif not {q}_can(producer, {ctl}):",
         _save(indent + 4, pc, pending, extra),
         *_queue_enq(indent, q, value, ctl, words),
-    ]
-    # -- io_cost + counters (PE._try_perform "enq") --
-    if control:
-        lines += [
-            f"{pad}top = (wd if wd >= we else we) + ctl_inc",
-            f"{pad}wd = we = top",
-            f"{pad}cost = ctl_inc",
-        ]
-    else:
-        lines += [
-            f"{pad}before = wd if wd >= we else we",
-            f"{pad}we += inv_r",
-            f"{pad}cost = (wd if wd >= we else we) - before",
-        ]
-    lines += [
-        f"{pad}spent += cost",
-        f"{pad}c_iss += cost",
-        f"{pad}c_dirty = True",
+        *_enq_cost(indent, control),
         _streak(indent, pending),
-    ]
-    return "\n".join(lines)
+    ])
 
 
-def _subgen_loop(indent: int, pc: int) -> str:
-    """Drive a hook sub-generator one request at a time.
+def _request_loop(indent: int, pc, on_stop: list) -> str:
+    """Drive a generator one request at a time: PE._execute's loop with
+    PE._try_perform's arms inlined.
 
-    The dominant requests — coupled stores and loads — are inlined
-    from PE._try_perform's "store"/"load" arms; everything else
-    flushes the SIMD totals and takes the generic ``pe._try_perform``.
-    Mirrors the interpreted ``yield from`` plumbing; the StopIteration
-    value lands in ``p0``.
+    One emitter serves every generator: the interp shape drives a
+    stage's own coroutine (``pc`` None; ``on_stop`` is the terminal
+    exit), and the s1/s3 bodies drive their hook sub-generators (``pc``
+    the resume point; ``on_stop`` takes the return value into ``p0``
+    and breaks out). Expects ``send`` (the generator's ``send``),
+    ``req`` (the pending request, or None to fetch the next) and
+    ``res`` (what to send).
+
+    Queue requests resolve their queue per request through
+    ``pe._qcache`` and inline the Queue.deq / Queue.enq transfers;
+    loads and stores inline the L1-hit path and take the full
+    Cache.access on a miss. The rare kinds (try_deq, peek, cycles, and
+    unknown ones, which raise there) flush the carried totals and take
+    the generic ``pe._try_perform``.
     """
     pad = _pad(indent)
+    p8, p12 = pad + " " * 4, pad + " " * 8
+    stop = [f"{p12}    {line}" for line in on_stop]
     return "\n".join([
         f"{pad}while True:",
         f"{pad}    if req is None:",
         f"{pad}        try:",
-        f"{pad}            req = gen.send(res)",
+        f"{pad}            req = send(res)",
         f"{pad}        except StopIteration as stop:",
-        f"{pad}            p0 = stop.value",
-        f"{pad}            break",
+        *stop,
         f"{pad}    if spent >= budget:",
         _save(indent + 8, pc, "req"),
         f"{pad}    kind = req[0]",
+        f'{pad}    if kind == "deq":',
+        f"{p12}q_rq = qget(req[1])",
+        f"{p12}if q_rq is None:",
+        f"{p12}    q_rq = pe._queue(req[1])",
+        f"{p12}rq_tok = q_rq._tokens",
+        f"{p12}if not rq_tok:",
+        _save(indent + 12, pc, "req"),
+        f"{p12}rq_credits = q_rq._credits",
+        *_queue_deq(indent + 8, "rq",
+                    "1 if token.is_control else q_rq.entry_words",
+                    name="q_rq.name"),
+        *_deq_cost(indent + 8),
+        f"{p12}res = token",
+        f'{pad}    elif kind == "enq":',
+        f"{p12}_, rq_name, rq_value, rq_ctl = req",
+        f"{p12}q_rq = qget(rq_name)",
+        f"{p12}if q_rq is None:",
+        f"{p12}    q_rq = pe._queue(rq_name)",
+        f"{p12}rq_credits = q_rq._credits",
+        f"{p12}words = 1 if rq_ctl else q_rq.entry_words",
+        f"{p12}if rq_credits is None:",
+        f"{p12}    if q_rq.capacity_words - q_rq._occupancy_words < words:",
+        _save(indent + 16, pc, "req"),
+        f"{p12}elif not q_rq.can_enq(producer, rq_ctl):",
+        _save(indent + 12, pc, "req"),
+        f"{p12}rq_tok = q_rq._tokens",
+        *_queue_enq(indent + 8, "rq", "rq_value", "rq_ctl", "words",
+                    name="q_rq.name"),
+        *_enq_cost(indent + 8, "rq_ctl"),
+        f"{p12}res = None",
         # Misses take the full Cache.access; a hit's latency equals
         # l1_lat, so its stall is zero.
-        f'{pad}    if kind == "store":',
-        f"{pad}        a = req[1]",
-        *_l1_hit(indent + 8, "a", write=True),
-        f"{pad}        else:",
-        f"{pad}            l1_access(a, write=True)",
-        f"{pad}        res = None",
-        f"{pad}        cost = 0.0",
         f'{pad}    elif kind == "load":',
-        f"{pad}        a = req[1]",
-        f"{pad}        res = None",
+        f"{p12}a = req[1]",
+        f"{p12}res = None",
         *_l1_hit(indent + 8, "a"),
-        f"{pad}            cost = 0.0",
-        f"{pad}        else:",
-        f"{pad}            stall = l1_access(a) - l1_lat",
-        f"{pad}            if stall > 0.0:",
+        f"{p12}    cost = 0.0",
+        f"{p12}else:",
+        f"{p12}    stall = l1_access(a) - l1_lat",
+        f"{p12}    if stall > 0.0:",
         # Flush before creating stall_mem so counter keys appear in
         # the dict in the same order the interpreter creates them.
         _flush_counters(indent + 16, reset=True),
-        f'{pad}                counters["stall_mem"] = ('
+        f'{p12}        counters["stall_mem"] = ('
         f'counters.get("stall_mem", 0.0) + stall)',
-        f"{pad}                pp = pe.probe",
-        f'{pad}                if pp is not None and "pe.stall" in '
-        f"pp.bus.wants:",
-        f'{pad}                    pp.emit("pe.stall", cycle=pe.now, '
-        f"pe=pe_id,",
-        f'{pad}                            bucket="stall_mem", cycles=stall,',
-        f"{pad}                            stage=stage_name)",
-        f"{pad}                cost = stall",
-        f"{pad}            else:",
-        f"{pad}                cost = 0.0",
+        f"{p12}        pp = pe.probe",
+        f'{p12}        if pp is not None and "pe.stall" in pp.bus.wants:',
+        f'{p12}            pp.emit("pe.stall", cycle=pe.now, pe=pe_id,',
+        f'{p12}                    bucket="stall_mem", cycles=stall,',
+        f"{p12}                    stage=stage_name)",
+        f"{p12}        cost = stall",
+        f"{p12}    else:",
+        f"{p12}        cost = 0.0",
+        f"{p12}spent += cost",
+        f'{pad}    elif kind == "store":',
+        f"{p12}a = req[1]",
+        *_l1_hit(indent + 8, "a", write=True),
+        f"{p12}else:",
+        f"{p12}    l1_access(a, write=True)",
+        f"{p12}res = None",
+        f"{p12}cost = 0.0",
         f"{pad}    else:",
-        # try_perform reads and writes pe.counters directly: flush the
-        # carried totals first, reload after.
+        # try_perform reads and writes pe.counters and the SIMD totals
+        # directly: flush the carried ones first, reload after.
         _flush_counters(indent + 8, reset=True),
-        f"{pad}        stage.work_deq = wd",
-        f"{pad}        stage.work_enq = we",
-        f"{pad}        outcome = try_perform(stage, req)",
-        f"{pad}        wd = stage.work_deq",
-        f"{pad}        we = stage.work_enq",
-        f'{pad}        c_iss = counters.get("issued", 0.0)',
-        f'{pad}        c_tok = counters.get("tokens", 0.0)',
-        f'{pad}        c_fab = counters.get("fabric_ops", 0.0)',
-        f"{pad}        if outcome is None:",
+        f"{p12}stage.work_deq = wd",
+        f"{p12}stage.work_enq = we",
+        f"{p12}outcome = try_perform(stage, req)",
+        f"{p12}wd = stage.work_deq",
+        f"{p12}we = stage.work_enq",
+        f'{p12}c_iss = counters.get("issued", 0.0)',
+        f'{p12}c_tok = counters.get("tokens", 0.0)',
+        f'{p12}c_fab = counters.get("fabric_ops", 0.0)',
+        f"{p12}if outcome is None:",
         _save(indent + 12, pc, "req"),
-        f"{pad}        res, cost = outcome",
-        f"{pad}    spent += cost",
+        f"{p12}res, cost = outcome",
+        f"{p12}spent += cost",
         _streak(indent + 4, "req"),
-        f"{pad}    req = None",
+        f"{p8}req = None",
     ])
 
 
@@ -493,18 +590,14 @@ def _bind_out_queue(q: str, queue: str) -> str:
     ])
 
 
-_PREAMBLE = '''\
-from repro.queues.queue import Token
-
-
-def make_step(pe, stage, b):
-    workload = b["workload"]
-    shard = b["shard"]
-    STOP_VALUE = b["STOP_VALUE"]
-    LivelockError = b["LivelockError"]
+# Bind-time locals every stage step-function shares: the PE, the
+# stage's cost constants and the L1 (the interp shape's make_step binds
+# the same set without hook bindings).
+_STAGE_LOCALS = '''\
     ctx = stage.ctx
     producer = ctx.producer_key
     counters = pe.counters
+    qget = pe._qcache.get
     n_ops = stage.mapping.n_compute_ops
     speed = stage.speed
     # Bind-time constants of StageInstance.io_cost: control tokens cost
@@ -524,6 +617,21 @@ def make_step(pe, stage, b):
     pe_id = pe.pe_id
     stage_name = stage.spec.name
 '''
+
+_PREAMBLE = '''\
+from repro.queues.queue import Token
+
+
+def make_step(pe, stage, b):
+    workload = b["workload"]
+    shard = b["shard"]
+    STOP_VALUE = b["STOP_VALUE"]
+    LivelockError = b["LivelockError"]
+''' + _STAGE_LOCALS
+
+# A hook sub-generator's return value is the vertex payload p0 (s1), or
+# ignored (s3).
+_HOOK_STOP = ["p0 = stop.value", "break"]
 
 
 def _header(shape: StageShape) -> str:
@@ -568,12 +676,7 @@ def _emit_s0(shape: StageShape) -> str:
             stage.pending = REQ_DEQ_IN
         cg = stage.cg
         pc = cg[0]
-        wd = stage.work_deq
-        we = stage.work_enq
-        c_iss = counters.get("issued", 0.0)
-        c_tok = counters.get("tokens", 0.0)
-        c_fab = counters.get("fabric_ops", 0.0)
-        c_dirty = False
+{_carry(8)}
         while True:
             if pc == 0:
 {_deq_site(16, "in", 0, "REQ_DEQ_IN")}
@@ -640,7 +743,7 @@ def _emit_s1(shape: StageShape) -> str:
         edge_value = (f"value = ({ngh_addr}, *extra_addrs(e), "
                       "p_edge)")
     # The vertex-side hook runs as a sub-generator driven by the
-    # mini-trampoline (pc 2).
+    # request loop (pc 2).
     body = f'''\
 {_bind_in_queue("in", _pe_queue("q_in"))}
 {_bind_out_queue("out", _pe_queue("q_out"))}
@@ -663,12 +766,7 @@ def _emit_s1(shape: StageShape) -> str:
             stage.pending = REQ_DEQ_IN
         cg = stage.cg
         pc = cg[0]
-        wd = stage.work_deq
-        we = stage.work_enq
-        c_iss = counters.get("issued", 0.0)
-        c_tok = counters.get("tokens", 0.0)
-        c_fab = counters.get("fabric_ops", 0.0)
-        c_dirty = False
+{_carry(8)}
         res = None
         req = stage.pending if pc == 2 else None
         while True:
@@ -688,7 +786,7 @@ def _emit_s1(shape: StageShape) -> str:
                 cg[2] = v
                 cg[3] = start
                 cg[4] = end
-                req = None
+                req = res = None
                 pc = 2
                 continue
             if pc == 1:
@@ -699,8 +797,8 @@ def _emit_s1(shape: StageShape) -> str:
                 pc = 0
                 continue
             if pc == 2:
-                gen = cg[1]
-{_subgen_loop(16, 2)}
+                send = cg[1].send
+{_request_loop(16, 2, _HOOK_STOP)}
                 cg[1] = None
                 v = cg[2]
                 start = cg[3]
@@ -763,12 +861,7 @@ def _emit_s2(shape: StageShape) -> str:
             stage.pending = REQ_DEQ_IN
         cg = stage.cg
         pc = cg[0]
-        wd = stage.work_deq
-        we = stage.work_enq
-        c_iss = counters.get("issued", 0.0)
-        c_tok = counters.get("tokens", 0.0)
-        c_fab = counters.get("fabric_ops", 0.0)
-        c_dirty = False
+{_carry(8)}
         while True:
             if pc == 0:
 {_deq_site(16, "in", 0, "REQ_DEQ_IN")}
@@ -818,12 +911,7 @@ def _emit_s3(shape: StageShape) -> str:
             stage.pending = REQ_DEQ_IN
         cg = stage.cg
         pc = cg[0]
-        wd = stage.work_deq
-        we = stage.work_enq
-        c_iss = counters.get("issued", 0.0)
-        c_tok = counters.get("tokens", 0.0)
-        c_fab = counters.get("fabric_ops", 0.0)
-        c_dirty = False
+{_carry(8)}
         res = None
         req = stage.pending if pc == 2 else None
         while True:
@@ -843,7 +931,7 @@ def _emit_s3(shape: StageShape) -> str:
                 value, ngh, p_edge = token.value
                 gen = s3_update(ctx, shard, int(ngh), value, p_edge)
                 cg[1] = gen
-                req = None
+                req = res = None
                 pc = 2
                 continue
             if pc == 1:
@@ -851,8 +939,8 @@ def _emit_s3(shape: StageShape) -> str:
                 pc = 0
                 continue
             if pc == 2:
-                gen = cg[1]
-{_subgen_loop(16, 2)}
+                send = cg[1].send
+{_request_loop(16, 2, _HOOK_STOP)}
                 cg[1] = None
                 pc = 0
                 continue
@@ -862,7 +950,42 @@ def _emit_s3(shape: StageShape) -> str:
     return _header(shape) + "\n" + _PREAMBLE + body
 
 
-_EMITTERS = {"s0": _emit_s0, "s1": _emit_s1, "s2": _emit_s2, "s3": _emit_s3}
+_INTERP_PREAMBLE = '''\
+from repro.core.pe import StageLivelockError as LivelockError
+from repro.queues.queue import Token
+
+
+def make_step(pe, stage):
+''' + _STAGE_LOCALS
+
+
+def _emit_interp(shape: StageShape) -> str:
+    """The generic shape: PE._execute over the stage's own coroutine,
+    every request through :func:`_request_loop`. Its state between
+    calls is the coroutine plus ``stage.pending``, as for the
+    interpreter."""
+    body = f'''\
+
+    def step(budget):
+        spent = 0.0
+        zero_streak = 0
+        if not stage.started:
+            stage.first_request()
+        if stage.done:
+            return spent
+        send = stage.gen.send
+        req = stage.pending
+        res = None
+{_carry(8)}
+{_request_loop(8, None, _finish(0).splitlines())}
+
+    return step
+'''
+    return _header(shape) + "\n" + _INTERP_PREAMBLE + body
+
+
+_EMITTERS = {"s0": _emit_s0, "s1": _emit_s1, "s2": _emit_s2, "s3": _emit_s3,
+             "interp": _emit_interp}
 
 
 def stage_source(shape: StageShape) -> str:

@@ -12,10 +12,12 @@ Three layers keep warm paths free of source generation:
    DRM and cheap — it resolves queues and hook methods into closure
    locals.
 
-Stages bind under ``System.run(codegen=True)``; DRMs bind on every
-``engine="fast"`` run. ``emitted_count()`` exposes how many times
-source was actually generated (stage and DRM shapes alike), so tests
-can prove a warm run performs zero generation.
+Stages with a codegen descriptor bind their generated body under
+``System.run(codegen=True)``; on every ``engine="fast"`` run, every
+other stage binds the generic ``interp`` step-function and every DRM
+its shape's. ``emitted_count()`` exposes how many times source was
+actually generated (stage and DRM shapes alike), so tests can prove a
+warm run performs zero generation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import dataclasses
 from typing import Callable, Optional
 
 from repro.cache.artifacts import ArtifactCache, get_artifact_cache
-from repro.codegen.emit import DRM_MODES, DrmShape, drm_source, stage_source
+from repro.codegen.emit import (DRM_MODES, INTERP, DrmShape, drm_source,
+                                stage_source)
 
 #: Process-local factory cache: shape key -> the generated module's
 #: make_step function (compile + exec happen once per shape).
@@ -78,10 +81,10 @@ def _factory_for(shape, cache: Optional[ArtifactCache] = None) -> Callable:
 def bind_stage(pe, stage, cache: Optional[ArtifactCache] = None) -> bool:
     """Attach a specialized step-function to ``stage`` on ``pe``.
 
-    Returns False (leaving the interpreted coroutine path in charge)
-    when the stage carries no codegen descriptor or when the
-    descriptor's queue contract disagrees with the stage's DFG — the
-    defensive fallback the tentpole requires rather than a hard error.
+    Returns False (leaving the stage to its coroutine) when the stage
+    carries no codegen descriptor or when the descriptor's queue
+    contract disagrees with the stage's DFG — a defensive fallback
+    rather than a hard error.
     """
     cg = getattr(stage.spec, "codegen", None)
     if cg is None:
@@ -95,17 +98,33 @@ def bind_stage(pe, stage, cache: Optional[ArtifactCache] = None) -> bool:
     return True
 
 
-def bind_system(system, cache: Optional[ArtifactCache] = None):
-    """Bind step-functions across all PEs; returns (bound, fallback)."""
+def bind_system(system, codegen: bool = True, fast: bool = False,
+                cache: Optional[ArtifactCache] = None):
+    """Bind step-functions across all PEs; returns (bound, fallback).
+
+    With ``codegen``, each stage whose descriptor binds gets its
+    generated body (``bound``); every other stage is a ``fallback``.
+    With ``fast`` (the fast engine), each fallback stage gets the
+    generic :data:`~repro.codegen.emit.INTERP` step-function over its
+    coroutine, and every DRM with a shape its generated step-function;
+    without it they keep ``PE._execute`` and ``DRM.run``, the
+    interpreted oracles the naive engine runs.
+    """
     if cache is None:
         cache = get_artifact_cache()
     bound = fallback = 0
     for pe in system.pes:
         for stage in pe.stages:
-            if bind_stage(pe, stage, cache):
+            if codegen and bind_stage(pe, stage, cache):
                 bound += 1
-            else:
-                fallback += 1
+                continue
+            fallback += 1
+            stage.step_fn = (_factory_for(INTERP, cache)(pe, stage)
+                             if fast else None)
+        for drm in pe.drms:
+            shape = drm_shape(drm) if fast else None
+            drm.step_fn = (None if shape is None
+                           else _factory_for(shape, cache)(drm))
     return bound, fallback
 
 
@@ -132,14 +151,3 @@ def drm_shape(drm) -> Optional[DrmShape]:
                         credited_in=credited_in)
     return DrmShape("deref", spec.width, spec.payload, routed, credited_out,
                     credited_in)
-
-
-def bind_drms(drms, cache: Optional[ArtifactCache] = None) -> None:
-    """Give every DRM in ``drms`` with a shape its generated
-    step-function (``drm.step_fn``); the rest keep ``DRM.run``."""
-    if cache is None:
-        cache = get_artifact_cache()
-    for drm in drms:
-        shape = drm_shape(drm)
-        drm.step_fn = (None if shape is None
-                       else _factory_for(shape, cache)(drm))

@@ -116,7 +116,7 @@ class DRM:
         # Optional telemetry Probe (repro.stats.telemetry).
         self.probe = None
         # Generated step-function with run()'s signature, bound by the
-        # fast engine (repro.codegen.runtime.bind_drms); None runs the
+        # fast engine (repro.codegen.runtime.bind_system); None runs the
         # interpreted ladder.
         self.step_fn: Optional[Callable[[float], float]] = None
 

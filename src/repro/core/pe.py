@@ -452,12 +452,14 @@ class ProcessingElement:
                 if self._reconfig_remaining <= _EPS:
                     self._activate()
                 continue
-            if self.all_done():
-                self.counters.add("idle", remaining)
-                self.now += remaining
-                return
             stage = self.current
             if stage is None or not self.stage_runnable(stage):
+                # A runnable stage is never done, so only a blocked or
+                # absent one needs the all-done scan.
+                if self.all_done():
+                    self.counters.add("idle", remaining)
+                    self.now += remaining
+                    return
                 nxt = self._pick_next(stage)
                 if nxt is None:
                     if fast:
@@ -488,7 +490,7 @@ class ProcessingElement:
             if step is None:
                 used = self._execute(current, remaining)
             else:
-                # Codegen path: the specialized step-function replays
+                # A generated step-function (repro.codegen) replays
                 # _execute's loop with the request protocol inlined.
                 used = step(remaining)
             remaining -= used

@@ -128,9 +128,11 @@ class StageInstance:
     # queue-I/O and explicit compute costs. The 1.0 default takes the
     # unscaled code paths so ordinary runs stay bit-identical.
     speed: float = 1.0
-    # Codegen attachment (repro.codegen.runtime.bind_stage): a compiled
-    # step-function replacing the coroutine trampoline, plus its saved
-    # control state (program counter, loop counters, live sub-generator).
+    # Codegen attachment (repro.codegen.runtime.bind_system): a compiled
+    # step-function replacing PE._execute — a body generated for the
+    # stage's shape, or the generic interp one over the coroutine — plus
+    # a generated body's saved control state (program counter, loop
+    # counters, live sub-generator).
     step_fn: Optional[Callable[[float], float]] = field(default=None,
                                                        repr=False)
     cg: Optional[list] = field(default=None, repr=False)

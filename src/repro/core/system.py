@@ -31,11 +31,12 @@ from repro.stats.cpi_stack import cpi_stack, merge_stacks
 
 
 #: Valid ``System.run(engine=...)`` values. ``fast`` skips blocked and
-#: quiescent spans in bulk and runs generated DRM step-functions;
-#: ``naive`` is the original per-cycle reference loop over the
-#: interpreted DRMs, kept as the differential-testing oracle. Both are
-#: cycle- and counter-exact (docs/performance.md,
-#: tests/test_engine_equivalence.py, tests/test_engine_fuzz.py).
+#: quiescent spans in bulk and runs generated stage and DRM
+#: step-functions; ``naive`` is the original per-cycle reference loop
+#: over the interpreted stages and DRMs, kept as the
+#: differential-testing oracle. Both are cycle- and counter-exact
+#: (docs/performance.md, tests/test_engine_equivalence.py,
+#: tests/test_engine_fuzz.py).
 ENGINES = ("fast", "naive")
 
 
@@ -358,21 +359,26 @@ class System:
             codegen: Optional[bool] = None) -> SimulationResult:
         """Run the program to completion and return the results.
 
-        ``codegen`` compiles each stage to a specialized step-function
-        (:mod:`repro.codegen`) before running; stages without a codegen
-        descriptor keep the interpreted coroutine path. ``None`` defers
-        to the ``REPRO_CODEGEN`` environment flag. Both paths are
-        bit-identical in cycles, counters, CPI stacks, and results.
-
         ``engine`` selects the simulation loop: ``"fast"`` (default)
         bulk-charges blocked spans, jumps quiescent systems — past a
         certified-idle control core — to their deadlock/timeout
-        horizon, and runs each DRM as a step-function generated for its
-        shape; ``"naive"`` ticks every cycle and interprets the DRMs.
-        Both produce identical cycle counts, counters, CPI stacks,
-        sampled time series, and results
+        horizon, and runs every stage and DRM as a generated
+        step-function (:mod:`repro.codegen`); ``"naive"`` ticks every
+        cycle and interprets: ``PE._execute`` over each stage
+        coroutine, ``DRM.run`` for each DRM.
+
+        ``codegen`` compiles each stage that has a codegen descriptor
+        to a body specialized for its shape; on the fast engine every
+        other stage runs the one generic ``interp`` step-function over
+        its coroutine. ``None`` defers to the ``REPRO_CODEGEN``
+        environment flag. ``engine_stats`` then records the stages
+        bound (``codegen_stages``) and left to their coroutine
+        (``codegen_fallback``).
+
+        All paths produce identical cycle counts, counters, CPI
+        stacks, sampled time series, and results
         (tests/test_engine_equivalence.py, tests/test_engine_fuzz.py,
-        tests/test_drm_codegen.py).
+        tests/test_drm_codegen.py, tests/test_interp_codegen.py).
 
         ``engine_stats`` counts the quanta stepped (``quanta``), the
         PE-quanta run (``pe_quanta``), and the quanta a fast-forward
@@ -384,29 +390,12 @@ class System:
                 f"unknown engine {engine!r}; choose from {ENGINES}")
         if codegen is None:
             codegen = env_flag("REPRO_CODEGEN")
-        codegen_counts = None
+        from repro.codegen.runtime import bind_system
+        fast = engine == "fast"
+        bound, fallback = bind_system(self, codegen, fast)
+        self._run_stepped(max_cycles, fast)
         if codegen:
-            from repro.codegen.runtime import bind_system
-            codegen_counts = bind_system(self)
-        else:
-            # Drop any step-functions a prior run(codegen=True) on this
-            # System left behind so toggling back re-interprets.
-            for pe in self.pes:
-                for stage in pe.stages:
-                    stage.step_fn = None
-        drms = [drm for pe in self.pes for drm in pe.drms]
-        if engine == "fast" and drms:
-            from repro.codegen.runtime import bind_drms
-            bind_drms(drms)
-        else:
-            # The naive engine runs the interpreted DRM ladder, the
-            # oracle of the generated DRM step-functions.
-            for drm in drms:
-                drm.step_fn = None
-        self._run_stepped(max_cycles, fast=(engine == "fast"))
-        if codegen_counts is not None:
             # Recorded after the run: the engine resets engine_stats.
-            bound, fallback = codegen_counts
             self.engine_stats["codegen_stages"] = bound
             self.engine_stats["codegen_fallback"] = fallback
         return self._build_result(engine)

@@ -12,10 +12,11 @@ and run statistics — and the generated pipelines must reproduce them.
 
 Kernel expressions are lowered twice:
 
-* to *runtime closures* interpreted by the stage semantics coroutines
-  (marked loads compile to authoritative re-reads of the live arrays at
-  the consuming stage — the DRM-fetched copy may be stale within an
-  iteration, so the update re-checks the live value);
+* to *Python functions*, one compiled per expression, called by the
+  stage semantics coroutines (marked loads compile to authoritative
+  re-reads of the live arrays at the consuming stage — the DRM-fetched
+  copy may be stale within an iteration, so the update re-checks the
+  live value);
 * to *DFG node emissions* for the mapper (loads that crossed a cut
   become CTRL taps off the stage's input token).
 
@@ -26,7 +27,6 @@ the assembled program's queue wiring is checked with
 
 from __future__ import annotations
 
-import operator
 from typing import Optional
 
 import numpy as np
@@ -41,39 +41,49 @@ from repro.workloads.common import GraphPipelineWorkload, shards_for_mode
 
 # -- runtime expression compiler ------------------------------------------
 
-_PYOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-          "lt": operator.lt, "eq": operator.eq}
+_PYSYMS = {"add": "+", "sub": "-", "mul": "*", "lt": "<", "eq": "=="}
 
 
-def _compile(value, bind: dict):
-    """Compile a kernel expression to a closure ``fn(workload, env)``.
+def _compile(value, bind: dict, params: tuple, wl):
+    """Compile a kernel expression to one Python function of ``params``.
 
-    ``bind`` maps value ids to env slot names; unbound marked loads
-    compile to authoritative re-reads of the live array.
+    ``bind`` maps value ids to parameter names; unbound marked loads
+    compile to authoritative re-reads of the live arrays of ``wl``. The
+    body is one Python expression whose operands evaluate in the order
+    of the expression tree; constants and arrays are bound as names of
+    the function's globals, the iteration counter is read from ``wl``.
     """
-    slot = bind.get(value.vid)
-    if slot is not None:
-        return lambda wl, env: env[slot]
-    op = value.op
-    if op == "const":
-        const = value.attr
-        return lambda wl, env: const
-    if op == "epoch":
-        return lambda wl, env: wl._epoch
-    if op == "vertex":
-        return lambda wl, env: env["v"]
-    if op == "edge":
-        return lambda wl, env: env["e"]
-    if op == "load":
-        name = value.attr.ref.name
-        idx = _compile(value.args[0], bind)
-        return lambda wl, env: wl._arrays[name][idx(wl, env)].item()
-    if op in _PYOPS:
-        left = _compile(value.args[0], bind)
-        right = _compile(value.args[1], bind)
-        pyop = _PYOPS[op]
-        return lambda wl, env: pyop(left(wl, env), right(wl, env))
-    raise FrontendError(f"cannot compile {value.label} to a runtime closure")
+    names = {"wl": wl}
+
+    def bound(obj) -> str:
+        name = f"k{len(names)}"
+        names[name] = obj
+        return name
+
+    def text(value) -> str:
+        slot = bind.get(value.vid)
+        if slot is not None:
+            return slot
+        op = value.op
+        if op == "const":
+            return bound(value.attr)
+        if op == "epoch":
+            return "wl._epoch"
+        if op == "vertex":
+            return "v"
+        if op == "edge":
+            return "e"
+        if op == "load":
+            array = bound(wl._arrays[value.attr.ref.name])
+            return f"{array}[{text(value.args[0])}].item()"
+        if op in _PYSYMS:
+            return (f"({text(value.args[0])} {_PYSYMS[op]} "
+                    f"{text(value.args[1])})")
+        raise FrontendError(f"cannot compile {value.label} to Python")
+
+    source = f"def expr({', '.join(params)}):\n    return {text(value)}\n"
+    exec(compile(source, f"<kernel {wl.name}>", "exec"), names)
+    return names["expr"]
 
 
 # -- DFG emission ----------------------------------------------------------
@@ -138,38 +148,42 @@ class FrontendWorkload(GraphPipelineWorkload):
                     f"(declared: {sorted(self._params) or 'none'})")
             self._params[key] = value
 
-        self._build_closures()
         super().__init__(graph, n_shards)
+        self._compile_hooks()
 
-    def _build_closures(self) -> None:
+    def _compile_hooks(self) -> None:
+        """Compile the plan's expressions, after :meth:`setup` has
+        allocated the arrays they read."""
         plan = self.plan
         kernel = self.kernel
+        refs, arrays = self._refs, self._arrays
         vbind = {}
         if kernel._vertex is not None:
             vbind[kernel._vertex.vid] = "v"
         # S0: per-vertex state fetch address generators.
-        self._vf = [(load.attr.ref.name, _compile(load.args[0], vbind))
+        self._vf = [(refs[load.attr.ref.name],
+                     _compile(load.args[0], vbind, ("v",), self))
                     for load in plan.vertex_loads]
         # S1: the per-vertex payload (cut-1 loads re-read live arrays).
-        self._p0_fn = (_compile(plan.p0, vbind)
+        self._p0_fn = (_compile(plan.p0, vbind, ("v",), self)
                        if plan.p0 is not None else None)
         # S1: extra per-edge fetch address generators.
         ebind = dict(vbind)
         if kernel._edge_var is not None:
             ebind[kernel._edge_var.vid] = "e"
-        self._extra_addr = [(load.attr.ref.name,
-                             _compile(load.args[0], ebind))
+        self._extra_addr = [(refs[load.attr.ref.name],
+                             arrays[load.attr.ref.name],
+                             _compile(load.args[0], ebind, ("e",), self))
                             for load in plan.edge_extra_loads]
         # S2: fold the fetched extras into the hop payload.
         s2bind = {plan.route_load.vid: "ngh"}
-        self._s2_slots = []
-        for i, load in enumerate(plan.edge_extra_loads):
-            slot = f"x{i}"
-            s2bind[load.vid] = slot
-            self._s2_slots.append(slot)
         if plan.p0 is not None:
             s2bind[plan.p0.vid] = "payload"
-        self._s2_fn = (_compile(plan.s2_value, s2bind)
+        s2params = ["ngh", "payload"]
+        for i, load in enumerate(plan.edge_extra_loads):
+            s2bind[load.vid] = f"x{i}"
+            s2params.append(f"x{i}")
+        self._s2_fn = (_compile(plan.s2_value, s2bind, tuple(s2params), self)
                        if plan.s2_value is not None else None)
         # S3: the update program. The owner load is deliberately NOT
         # bound: it compiles to an authoritative re-read of the live
@@ -177,16 +191,17 @@ class FrontendWorkload(GraphPipelineWorkload):
         s3bind = {plan.route_load.vid: "ngh"}
         if plan.s3_payload is not None:
             s3bind[plan.s3_payload.vid] = "payload"
-        self._cond_fn = (_compile(plan.cond, s3bind)
+        s3params = ("ngh", "payload")
+        self._cond_fn = (_compile(plan.cond, s3bind, s3params, self)
                          if plan.cond is not None else None)
         self._update = []
         for stmt in plan.update_ops:
             if stmt.kind == "store":
                 self._update.append(
-                    ("store", stmt.ref.name, _compile(stmt.value, s3bind),
-                     False))
+                    ("store", arrays[stmt.ref.name], refs[stmt.ref.name],
+                     _compile(stmt.value, s3bind, s3params, self), False))
             else:
-                self._update.append(("push", None, None, stmt.dedup))
+                self._update.append(("push", None, None, None, stmt.dedup))
 
     # -- skeleton hooks: state ------------------------------------------
 
@@ -227,45 +242,35 @@ class FrontendWorkload(GraphPipelineWorkload):
     # -- skeleton hooks: stage semantics --------------------------------
 
     def vertex_fetch_addrs(self, v: int) -> tuple:
-        env = {"v": v}
-        return tuple(self._refs[name].addr(fn(self, env))
-                     for name, fn in self._vf)
+        return tuple(ref.addr(fn(v)) for ref, fn in self._vf)
 
     def vertex_process(self, ctx, shard: int, v: int, start: int, end: int):
         fn = self._p0_fn
         if fn is None:
             return 0
-        return fn(self, {"v": v})
+        return fn(v)
         yield  # pragma: no cover - makes this a generator
 
     def edge_extra_addrs(self, e: int) -> tuple:
-        env = {"e": e}
-        return tuple(self._refs[name].addr(fn(self, env))
-                     for name, fn in self._extra_addr)
+        return tuple(ref.addr(fn(e)) for ref, _, fn in self._extra_addr)
 
     def edge_extra_values(self, e: int) -> tuple:
-        env = {"e": e}
-        return tuple(self._arrays[name][fn(self, env)].item()
-                     for name, fn in self._extra_addr)
+        return tuple(array[fn(e)].item() for _, array, fn in self._extra_addr)
 
     def s2_payload(self, ngh: int, extras: tuple, p_edge):
         fn = self._s2_fn
         if fn is None:
             return p_edge
-        env = {"ngh": ngh, "payload": p_edge}
-        for slot, word in zip(self._s2_slots, extras):
-            env[slot] = int(word)
-        return fn(self, env)
+        return fn(ngh, p_edge, *map(int, extras))
 
     def s3_update(self, ctx, shard: int, ngh: int, value, p_edge):
-        env = {"ngh": ngh, "payload": p_edge}
         cond = self._cond_fn
-        if cond is not None and not cond(self, env):
+        if cond is not None and not cond(ngh, p_edge):
             return
-        for kind, ref_name, value_fn, dedup in self._update:
+        for kind, array, ref, value_fn, dedup in self._update:
             if kind == "store":
-                self._arrays[ref_name][ngh] = value_fn(self, env)
-                yield ("store", self._refs[ref_name].addr(ngh))
+                array[ngh] = value_fn(ngh, p_edge)
+                yield ("store", ref.addr(ngh))
             else:
                 if dedup:
                     pending = self._in_next[shard]

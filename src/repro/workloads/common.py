@@ -153,12 +153,11 @@ class GraphPipelineWorkload:
 
     def vertex_fetch_addrs(self, v: int) -> tuple:
         """Addresses of per-vertex state (``vertex_fetch_words`` of them)."""
-        return ()
+        raise NotImplementedError
 
     def vertex_process(self, ctx, shard: int, v: int, start: int, end: int):
         """Vertex-side work; yields requests; returns ``p0`` or ``None``."""
-        return 0
-        yield  # pragma: no cover - makes this a generator
+        raise NotImplementedError
 
     def s1_edge_payload(self, v: int, start: int, end: int, p0):
         return p0
@@ -180,17 +179,18 @@ class GraphPipelineWorkload:
 
     def at_barrier(self, iteration: int) -> None:
         """Extra control-core work at each iteration boundary."""
+        raise NotImplementedError
 
     def result(self):
         raise NotImplementedError
 
     def vertex_extra_ops(self, b: DFGBuilder, v_node):
         """Datapath ops of ``vertex_process`` (for the S1 mapping)."""
-        return b.const(0)
+        raise NotImplementedError
 
     def s3_extra_ops(self, b: DFGBuilder, value_node, payload_node):
         """Datapath ops of ``s3_update`` (for the S3 mapping)."""
-        return b.add(value_node, payload_node)
+        raise NotImplementedError
 
     def s1_extra_edge_ops(self, b: DFGBuilder, e_next) -> tuple:
         """Address nodes of the extra per-edge fetches (S1 mapping)."""

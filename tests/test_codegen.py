@@ -198,7 +198,9 @@ class TestFallback:
 
     def test_interp_run_clears_stale_step_fns(self, bfs_prepared):
         """Toggling codegen off on the same System really re-interprets
-        (stale step-functions are dropped, not silently reused)."""
+        (stale step-functions are dropped, not silently reused): the
+        fast engine drives every coroutine with the generic interp
+        step-function, the naive engine with PE._execute."""
         from repro.config import SystemConfig
         from repro.core import System
         from repro.workloads import bfs as bfs_mod
@@ -209,6 +211,9 @@ class TestFallback:
         assert any(s.step_fn is not None
                    for pe in system.pes for s in pe.stages)
         system.run(codegen=False)
+        assert all(s.step_fn.__code__.co_filename == "<repro.codegen:interp>"
+                   for pe in system.pes for s in pe.stages)
+        system.run(codegen=False, engine="naive")
         assert all(s.step_fn is None
                    for pe in system.pes for s in pe.stages)
 
