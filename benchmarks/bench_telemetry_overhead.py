@@ -18,14 +18,19 @@ and asserts the ``armed`` state stays within 5% of ``off`` and the
 kind-filtered subscription keeps the bus from even constructing the
 per-token queue/cache events that dominate the ``on`` stream.
 
-Methodology: states run interleaved in rotating order so no state
-systematically inherits the machine state its predecessor left behind,
-and the asserted overhead is the ratio of per-state minimums over all
-rounds — scheduler preemption and allocator-layout jitter only ever
-add time, so the minimum is the estimator that converges on the true
-cost as rounds accumulate.
+Methodology: paired rounds. Each round runs ``off`` and each other
+state back to back, in alternating order (``off`` first in even rounds,
+last in odd ones), and takes the ratio of the pair's two times. The
+host's speed drifts by tens of percent over minutes; a ratio of two
+neighbouring runs cancels that slow drift, where a ratio of per-state
+minimums taken minutes apart does not (the min-of-10 estimator this
+replaces read one commit's armed overhead anywhere from -10.7% to
++39.4% within an hour). The overhead is the median of the per-round
+ratios minus one. Faster noise remains, so the table reports the
+ratios' interquartile range beside it.
 """
 
+import statistics
 import time
 
 from bench_common import emit
@@ -61,39 +66,55 @@ def _run_once(state: str) -> float:
     return time.perf_counter() - start
 
 
-def _measure() -> dict:
-    """``state -> [wall time per round]``, states interleaved.
-
-    The order rotates every round so no state systematically inherits
-    the machine state its predecessor left behind (e.g. the allocation
-    churn of the heavy ``on`` run)."""
+def _measure() -> tuple:
+    """Paired rounds: ``(times, ratios)``, where ``times`` maps each
+    state to its wall time per run and ``ratios`` each instrumented
+    state to its per-round ratio over the ``off`` run it was paired
+    with."""
+    for state in _STATES:  # warm the in-process compile caches
+        _run_once(state)
     times = {state: [] for state in _STATES}
+    ratios = {state: [] for state in _STATES if state != "off"}
     for round_no in range(REPEATS):
-        shift = round_no % len(_STATES)
-        for state in _STATES[shift:] + _STATES[:shift]:
-            times[state].append(_run_once(state))
-    return times
+        for state in ratios:
+            pair = ("off", state) if round_no % 2 == 0 else (state, "off")
+            measured = {name: _run_once(name) for name in pair}
+            for name, seconds in measured.items():
+                times[name].append(seconds)
+            ratios[state].append(measured[state] / measured["off"])
+    return times, ratios
 
 
 def run_overhead():
-    times = _measure()
-    best = {state: min(times[state]) for state in _STATES}
-    overhead = {state: best[state] / best["off"] - 1.0
-                for state in _STATES if state != "off"}
+    times, ratios = _measure()
+    # (first quartile, median, third quartile) of each state's ratios.
+    spread = {state: statistics.quantiles(values, n=4)
+              for state, values in ratios.items()}
+    overhead = {state: median - 1.0
+                for state, (_, median, _) in spread.items()}
     labels = {
         "off": "off (no bus)",
         "armed": "armed (bus, no sinks)",
         "profiled": "profiled (wait-for profiler)",
         "on": "on (recording sink)",
     }
-    rows = [[labels[state], f"{best[state] * 1e3:.1f}",
-             f"{overhead[state]:+.1%}" if state in overhead else "-"]
-            for state in _STATES]
+    rows = []
+    for state in _STATES:
+        row = [labels[state],
+               f"{statistics.median(times[state]) * 1e3:.1f}"]
+        if state in spread:
+            q1, _, q3 = spread[state]
+            row += [f"{overhead[state]:+.1%}",
+                    f"{q1 - 1.0:+.1%} .. {q3 - 1.0:+.1%}"]
+        else:
+            row += ["-", "-"]
+        rows.append(row)
     table = format_table(
-        ["telemetry state", "best wall time (ms)", "vs off"], rows,
+        ["telemetry state", "median wall time (ms)", "vs off (median)",
+         "vs off (IQR)"], rows,
         title=(f"telemetry overhead, bfs on a 2000-vertex power-law graph "
-               f"(min of {REPEATS} interleaved rounds; budgets: "
-               f"armed < {OVERHEAD_BUDGET:.0%}, profiled < "
+               f"(median of {REPEATS} paired rounds, alternating order; "
+               f"budgets: armed < {OVERHEAD_BUDGET:.0%}, profiled < "
                f"{PROFILER_BUDGET:.0%})"))
     emit("telemetry_overhead", table)
     return overhead

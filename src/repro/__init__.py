@@ -24,13 +24,18 @@ golden references, with energy breakdowns) go through
 :func:`repro.harness.run_experiment`.
 """
 
-from repro.config import (CacheConfig, FabricConfig, MemoryConfig, OOOConfig,
-                          SystemConfig, DEFAULT_CONFIG)
-from repro.core import (System, SimulationResult, DeadlockError,
-                        Program, PEProgram, StageSpec, StageContext,
-                        DRM, DRMSpec, STOP_VALUE)
-from repro.baselines import run_ooo, OOOResult
-from repro.energy import EnergyModel
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.config": ("CacheConfig", "FabricConfig", "MemoryConfig",
+                     "OOOConfig", "SystemConfig", "DEFAULT_CONFIG"),
+    "repro.core": ("System", "SimulationResult", "DeadlockError",
+                   "Program", "PEProgram", "StageSpec", "StageContext",
+                   "DRM", "DRMSpec", "STOP_VALUE"),
+    "repro.baselines": ("run_ooo", "OOOResult"),
+    "repro.energy": ("EnergyModel",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -9,26 +9,27 @@ dynamically enforces the same invariants the static passes certify.
 See ``docs/analysis.md`` for the pass catalog.
 """
 
-from repro.analysis.report import (AnalysisError, AnalysisReport,  # noqa: F401
-                                   Finding)
-from repro.analysis.depgraph import (Access, DepEdge,  # noqa: F401
-                                     DependenceGraph,
-                                     build_dependence_graph,
-                                     classify_index, clone_kernel,
-                                     strip_annotations)
-from repro.analysis.autosplit import (AutosplitError,  # noqa: F401
-                                      CutCandidate, PatternMatch,
-                                      SplitAdvice, SplitCostModel,
-                                      advise_kernel, apply_and_verify,
-                                      apply_split, detect_patterns,
-                                      infer_split)
-from repro.analysis.graph import (CONTROL_CORE, Channel,  # noqa: F401
-                                  ChannelGraph, Endpoint,
-                                  build_channel_graph, classify_edge,
-                                  find_cycle_within,
-                                  strongly_connected_components)
-from repro.analysis.deadlock import analyze_deadlock  # noqa: F401
-from repro.analysis.dfg_passes import analyze_stage  # noqa: F401
-from repro.analysis.sanitize import (SanitizerError,  # noqa: F401
-                                     SimulationSanitizer)
-from repro.analysis.verify import analyze_program  # noqa: F401
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.analysis.report": ("AnalysisError", "AnalysisReport", "Finding"),
+    "repro.analysis.depgraph": ("Access", "DepEdge", "DependenceGraph",
+                                "build_dependence_graph", "classify_index",
+                                "clone_kernel", "strip_annotations"),
+    "repro.analysis.autosplit": ("AutosplitError", "CutCandidate",
+                                 "PatternMatch", "SplitAdvice",
+                                 "SplitCostModel", "advise_kernel",
+                                 "apply_and_verify", "apply_split",
+                                 "detect_patterns", "infer_split"),
+    "repro.analysis.graph": ("CONTROL_CORE", "Channel", "ChannelGraph",
+                             "Endpoint", "build_channel_graph",
+                             "classify_edge", "find_cycle_within",
+                             "strongly_connected_components"),
+    "repro.analysis.deadlock": ("analyze_deadlock",),
+    "repro.analysis.dfg_passes": ("analyze_stage",),
+    "repro.analysis.sanitize": ("SanitizerError", "SimulationSanitizer"),
+    "repro.analysis.verify": ("analyze_program",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

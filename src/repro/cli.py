@@ -61,21 +61,27 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
+from typing import NoReturn
 
 from repro.config import SystemConfig
-from repro.core import ENGINES
 from repro.env import EnvKnobError
-from repro.frontend import FRONTEND_KERNELS, get_frontend
-from repro.harness import (SweepPoint, build_cgra_program, format_table,
-                           prepare_input, resolve_config, run_experiment,
-                           run_sweep, speedup_table)
-from repro.harness.report import bar_chart
-from repro.harness.run import APP_INPUTS, SYSTEMS, check_scale_seed
-from repro.stats.manifest import (build_manifest, load_manifests,
-                                  summarize_manifests)
-from repro.stats.telemetry import (EventBus, JsonlSink, PeriodicSampler,
-                                   RecordingSink, chrome_trace)
-from repro.stats.trace import ActivationTracer
+from repro.harness.format import format_table
+from repro.harness.run import (APP_INPUTS, SYSTEMS, build_cgra_program,
+                               check_scale_seed, prepare_input,
+                               resolve_config, run_experiment,
+                               speedup_table)
+
+# Each verb imports the machinery it runs, so that a command loads only
+# what it uses (docs/performance.md, "Cold start"). For the same reason
+# the parser's choices and defaults are stated here rather than imported
+# from the simulator, the front-end and the profiler;
+# tests/test_cold_start.py checks each against its definition.
+ENGINES = ("fast", "naive")                 # repro.core.ENGINES
+KERNELS = ("bfs", "cc", "sssp")             # repro.frontend.FRONTEND_KERNELS
+DEFAULT_CYCLE_TOL = 0.001                   # repro.profiling.history
+DEFAULT_BLAME_TOL = 0.05
+DEFAULT_WALL_RATIO = 2.0
 
 
 def _checked(convert, field: str):
@@ -89,6 +95,24 @@ def _checked(convert, field: str):
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer of at least 1 (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _fail(verb: str, message: str) -> NoReturn:
+    """Exit 2 with one argparse-style ``repro VERB: error:`` line."""
+    print(f"repro {verb}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -141,6 +165,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.harness.report import bar_chart
+    from repro.harness.sweep import SweepPoint, run_sweep
     _check_input(args.app, args.input)
     points = [SweepPoint(args.app, args.input, system, scale=args.scale,
                          seed=args.seed, engine=args.engine)
@@ -185,6 +211,7 @@ def cmd_trace(args) -> int:
     system = _traceable_system(args)
 
     if args.format == "gantt":
+        from repro.stats.trace import ActivationTracer
         with ActivationTracer().attach(system) as tracer:
             result = system.run(engine=args.engine)
         print(f"{args.app}/{args.input} on Fifer: {result.cycles:,.0f} "
@@ -200,6 +227,8 @@ def cmd_trace(args) -> int:
 
     if args.sample_period <= 0:
         raise SystemExit("--sample-period must be positive")
+    from repro.stats.telemetry import (EventBus, JsonlSink, PeriodicSampler,
+                                       RecordingSink, chrome_trace)
     bus = EventBus()
     system.attach_telemetry(bus)
     sampler = bus.add_sampler(PeriodicSampler(args.sample_period))
@@ -304,6 +333,7 @@ def _suggest_findings(app: str):
     """Info findings from the auto-decoupling analyzer (``--suggest``)."""
     from repro.analysis.autosplit import AutosplitError, advise_kernel
     from repro.analysis.report import Finding
+    from repro.frontend import FRONTEND_KERNELS
     if app not in FRONTEND_KERNELS:
         return [Finding(
             "info", "autosplit.advise", app,
@@ -373,6 +403,7 @@ def cmd_lint(args) -> int:
 def cmd_advise(args) -> int:
     from repro.analysis.autosplit import (AutosplitError, advise_kernel,
                                           apply_and_verify)
+    from repro.frontend import FRONTEND_KERNELS
     names = (sorted(FRONTEND_KERNELS) if args.kernel == "all"
              else [args.kernel])
     documents, ok = [], True
@@ -433,7 +464,14 @@ def cmd_advise(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from repro.stats.manifest import build_manifest
     _check_input(args.app, args.input)
+    if args.manifest_dir is not None:
+        # Fail before simulating, not after the run.
+        try:
+            Path(args.manifest_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _fail("stats", f"cannot write {args.manifest_dir}: {exc}")
     result = run_experiment(args.app, args.input, args.system,
                             variant=args.variant, scale=args.scale,
                             seed=args.seed, engine=args.engine,
@@ -485,8 +523,11 @@ def cmd_profile(args) -> int:
                             seed=args.seed, engine=args.engine,
                             profile=True)
     profile = result.profile
-    predictions = [predict_speedup(profile, target, percent)
-                   for target, percent in whatifs]
+    try:
+        predictions = [predict_speedup(profile, target, percent)
+                       for target, percent in whatifs]
+    except ValueError as exc:
+        _fail("profile", str(exc))
     if args.validate:
         from repro.profiling import validate_prediction
         for prediction in predictions:
@@ -577,12 +618,12 @@ def cmd_bench_diff(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from pathlib import Path
-    from repro.cache import (configure_artifact_cache, default_cache_root,
-                             get_artifact_cache)
+    from repro.cache import ArtifactCache, default_cache_root
     root = Path(args.cache_dir) if args.cache_dir else default_cache_root()
-    cache = (configure_artifact_cache(root) if args.cache_dir
-             else get_artifact_cache())
+    # The verb inspects the on-disk store under the root it prints, not
+    # the process cache, which is memory-only unless REPRO_CACHE_DIR is
+    # set.
+    cache = ArtifactCache(root)
     if args.action == "stats":
         artifacts = cache.stats()
     else:  # gc
@@ -593,6 +634,7 @@ def cmd_cache(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from repro.stats.manifest import load_manifests, summarize_manifests
     manifests = []
     try:
         for directory in args.dirs:
@@ -638,7 +680,7 @@ def main(argv=None) -> int:
     p_trace = sub.add_parser(
         "trace", help="Fifer execution trace (ASCII, Perfetto, or JSONL)")
     _add_common(p_trace)
-    p_trace.add_argument("--pes", type=int, default=8,
+    p_trace.add_argument("--pes", type=_count, default=8,
                          help="PEs to show in the Gantt chart")
     p_trace.add_argument("--format", choices=("gantt", "chrome", "jsonl"),
                          default="gantt",
@@ -655,7 +697,7 @@ def main(argv=None) -> int:
 
     p_compile = sub.add_parser(
         "compile", help="split an annotated kernel into its stage pipeline")
-    p_compile.add_argument("workload", choices=sorted(FRONTEND_KERNELS))
+    p_compile.add_argument("workload", choices=KERNELS)
     p_compile.add_argument("--emit-python", action="store_true",
                            help="dump the specialized Python step-function "
                                 "source the codegen backend binds at "
@@ -709,7 +751,7 @@ def main(argv=None) -> int:
         help="infer load-split points from the whole-kernel dependence "
              "graph (auto-decoupling analyzer)")
     p_advise.add_argument("kernel",
-                          choices=sorted(FRONTEND_KERNELS) + ["all"],
+                          choices=KERNELS + ("all",),
                           help="annotated kernel to analyze, or 'all'")
     p_advise.add_argument("--apply", action="store_true",
                           help="apply the top-ranked split, lower it "
@@ -743,7 +785,7 @@ def main(argv=None) -> int:
                            help="text: tables; json: full profile "
                                 "document; folded: flamegraph.pl/"
                                 "speedscope folded stacks")
-    p_profile.add_argument("--top", type=int, default=12, metavar="N",
+    p_profile.add_argument("--top", type=_count, default=12, metavar="N",
                            help="critical-path segments to show (text)")
     p_profile.add_argument("--out", default=None, metavar="FILE",
                            help="write output here (default: stdout)")
@@ -756,8 +798,6 @@ def main(argv=None) -> int:
                              "benchmarks/results/history/baseline)")
     p_diff.add_argument("current", metavar="CURRENT",
                         help="freshly produced manifest directory")
-    from repro.profiling import (DEFAULT_BLAME_TOL, DEFAULT_CYCLE_TOL,
-                                 DEFAULT_WALL_RATIO)
     p_diff.add_argument("--cycle-tol", type=float,
                         default=DEFAULT_CYCLE_TOL, metavar="FRAC",
                         help="relative cycle drift that fails the diff "

@@ -20,22 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines import kernels, run_ooo
 from repro.config import OOOConfig, SystemConfig
-from repro.core import System
-from repro.datasets.btree import BPlusTree
-from repro.datasets.graphs import make_graph
-from repro.datasets.matrices import make_matrix
-from repro.datasets.ycsb import zipfian_keys
-from repro.energy import EnergyModel
 from repro.workloads import get_workload
-from repro.workloads import bfs as bfs_mod
-from repro.workloads import cc as cc_mod
-from repro.workloads import prdelta as prd_mod
-from repro.workloads import radii as radii_mod
-from repro.workloads import silo as silo_mod
-from repro.workloads import spmm as spmm_mod
-from repro.workloads import sssp as sssp_mod
+
+# Workloads, input generators, the OOO kernels, the energy model and the
+# simulator are imported where an app and a system need them, so that a
+# command loads only what it runs (docs/performance.md, "Cold start").
 
 GRAPH_APPS = ("bfs", "cc", "prd", "radii", "sssp")
 SYSTEMS = ("serial", "multicore", "static", "fifer")
@@ -140,31 +130,36 @@ def prepare_input(app: str, code: str, scale: Optional[float] = None,
         scale = default_scale(app, code)
     check_scale_seed(scale, seed)
     if app in GRAPH_APPS:
+        from repro.datasets.graphs import make_graph
         graph = make_graph(code, scale=scale, seed=seed)
+        module = get_workload(app)
         golden = {
-            "bfs": lambda: bfs_mod.bfs_reference(graph, 0),
-            "cc": lambda: cc_mod.cc_reference(graph),
-            "prd": lambda: prd_mod.prd_reference(
+            "bfs": lambda: module.bfs_reference(graph, 0),
+            "cc": lambda: module.cc_reference(graph),
+            "prd": lambda: module.prd_reference(
                 graph, max_iterations=PRD_MAX_ITERATIONS),
-            "radii": lambda: radii_mod.radii_reference(
+            "radii": lambda: module.radii_reference(
                 graph, k=RADII_SOURCES,
                 max_iterations=RADII_MAX_ITERATIONS),
-            "sssp": lambda: sssp_mod.sssp_reference(graph, 0),
+            "sssp": lambda: module.sssp_reference(graph, 0),
         }[app]()
         return PreparedInput(app, code, graph, golden)
     if app == "spmm":
+        from repro.datasets.matrices import make_matrix
+        spmm = get_workload(app)
         matrix = make_matrix(code, scale=scale * 4, seed=seed)
-        rows, cols = spmm_mod.sample_rows_cols(matrix, SPMM_SAMPLE,
-                                               SPMM_SAMPLE)
-        golden = spmm_mod.spmm_reference(matrix, rows, cols)
+        rows, cols = spmm.sample_rows_cols(matrix, SPMM_SAMPLE, SPMM_SAMPLE)
+        golden = spmm.spmm_reference(matrix, rows, cols)
         return PreparedInput(app, code, (matrix, rows, cols), golden)
     if app == "silo":
+        from repro.datasets.btree import BPlusTree
+        from repro.datasets.ycsb import zipfian_keys
         keys = np.arange(SILO_RECORDS, dtype=np.int64) * 3 + 1
         values = keys * 7
         tree = BPlusTree(keys, values, fanout=8)
         ops = keys[zipfian_keys(SILO_RECORDS, SILO_OPS, seed=seed)].copy()
         ops[::10] += 1  # some misses
-        golden = silo_mod.silo_reference(tree, ops)
+        golden = get_workload(app).silo_reference(tree, ops)
         return PreparedInput(app, code, (tree, ops), golden)
     raise ValueError(f"unknown app {app!r}")
 
@@ -178,7 +173,7 @@ def resolve_config(app: str,
     (prepare → compile → simulate → verify)."""
     config = base or SystemConfig()
     if app == "silo":
-        config = silo_mod.recommended_config(config)
+        config = get_workload(app).recommended_config(config)
     return config
 
 
@@ -191,8 +186,8 @@ def build_cgra_program(prepared: PreparedInput, config: SystemConfig,
     what lets the artifact cache (stage-DFG mappings, generated
     step-function source) reuse products across runs."""
     app, data = prepared.app, prepared.data
+    module = get_workload(app)
     if app in GRAPH_APPS:
-        module = get_workload(app)
         if app == "prd":
             return module.build(data, config, mode, variant,
                                 max_iterations=PRD_MAX_ITERATIONS)
@@ -205,11 +200,11 @@ def build_cgra_program(prepared: PreparedInput, config: SystemConfig,
         n_stages = 4 if variant == "decoupled" else 1
         from repro.workloads.common import shards_for_mode
         n_shards = shards_for_mode(config, mode, n_stages)
-        workload = spmm_mod.SpMMWorkload(matrix, n_shards, rows, cols)
+        workload = module.SpMMWorkload(matrix, n_shards, rows, cols)
         return workload.build_program(config, mode, variant), workload
     if app == "silo":
         tree, ops = data
-        return silo_mod.build(tree, ops, config, mode, variant)
+        return module.build(tree, ops, config, mode, variant)
     raise ValueError(app)
 
 
@@ -225,6 +220,7 @@ def simulate_cgra(program, config: SystemConfig, mode: str,
     inputs; the verify/manifest phases build on the result.
     ``codegen`` selects the specialized step-function path
     (:mod:`repro.codegen`); ``None`` defers to ``REPRO_CODEGEN``."""
+    from repro.core import System
     simulator = System(config, program, mode=mode, telemetry=telemetry)
     sanitizer = None
     profiler = None
@@ -247,6 +243,7 @@ def simulate_cgra(program, config: SystemConfig, mode: str,
 
 
 def _ooo_kernel(prepared: PreparedInput, n_cores: int):
+    from repro.baselines import kernels
     app, data = prepared.app, prepared.data
     if app == "bfs":
         return kernels.bfs_kernel(data, 0, n_cores)
@@ -256,11 +253,13 @@ def _ooo_kernel(prepared: PreparedInput, n_cores: int):
         return kernels.sssp_kernel(data, 0, n_cores)
     if app == "prd":
         n = data.n_vertices
-        return kernels.prd_kernel(data, n_cores, prd_mod.DAMPING,
-                                  prd_mod.EPSILON_FRACTION / n,
+        prd = get_workload(app)
+        return kernels.prd_kernel(data, n_cores, prd.DAMPING,
+                                  prd.EPSILON_FRACTION / n,
                                   max_iterations=PRD_MAX_ITERATIONS)
     if app == "radii":
-        sources = radii_mod._sample_sources(data.n_vertices, RADII_SOURCES, 7)
+        sources = get_workload(app)._sample_sources(data.n_vertices,
+                                                    RADII_SOURCES, 7)
         return kernels.radii_kernel(data, sources, n_cores,
                                     max_iterations=RADII_MAX_ITERATIONS)
     if app == "spmm":
@@ -358,10 +357,12 @@ def run_experiment(app: str, input_code: str, system: str,
         raise ValueError(
             f"profile=True needs a CGRA system with an event stream; "
             f"{system!r} is an analytic OOO model")
+    from repro.energy import EnergyModel
     energy_model = EnergyModel()
     run_profile = None
     t_start = time.perf_counter()
     if system in ("serial", "multicore"):
+        from repro.baselines import run_ooo
         n_cores = 1 if system == "serial" else 4
         kernel = _ooo_kernel(prepared, n_cores)
         raw = run_ooo(kernel, n_cores, ooo_config)

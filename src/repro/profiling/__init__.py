@@ -21,17 +21,27 @@ and returns the profile on the result; ``python -m repro profile`` and
 ``python -m repro bench-diff`` are the CLI verbs.
 """
 
-from repro.profiling.attribution import (BlameMatrix, RunProfile,
-                                         WaitForProfiler)
-from repro.profiling.critical_path import (CriticalPath, PathSegment,
-                                           extract_critical_path)
-from repro.profiling.history import (DEFAULT_BLAME_TOL, DEFAULT_CYCLE_TOL,
-                                     DEFAULT_WALL_RATIO, DiffFinding,
-                                     DiffReport, bench_diff)
-from repro.profiling.topology import Topology, base_name
-from repro.profiling.whatif import (WhatIfPrediction, apply_whatif_config,
-                                    parse_whatif, predict_speedup,
-                                    validate_prediction)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.profiling.attribution import WaitForProfiler
+
+_EXPORTS = {
+    "repro.profiling.attribution": ("BlameMatrix", "RunProfile",
+                                    "WaitForProfiler"),
+    "repro.profiling.critical_path": ("CriticalPath", "PathSegment",
+                                      "extract_critical_path"),
+    "repro.profiling.history": ("DiffFinding", "DiffReport", "bench_diff",
+                                "DEFAULT_CYCLE_TOL", "DEFAULT_BLAME_TOL",
+                                "DEFAULT_WALL_RATIO"),
+    "repro.profiling.topology": ("Topology", "base_name"),
+    "repro.profiling.whatif": ("WhatIfPrediction", "apply_whatif_config",
+                               "parse_whatif", "predict_speedup",
+                               "validate_prediction"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BlameMatrix", "RunProfile", "WaitForProfiler",
@@ -45,7 +55,7 @@ __all__ = [
 ]
 
 
-def attach_profiler(system, bus=None) -> WaitForProfiler:
+def attach_profiler(system, bus=None) -> "WaitForProfiler":
     """Wire a :class:`WaitForProfiler` onto a built ``System``.
 
     Reuses the system's attached :class:`~repro.stats.telemetry.
@@ -55,6 +65,8 @@ def attach_profiler(system, bus=None) -> WaitForProfiler:
     returns ``result``, call ``profiler.finalize(result.pe_counters,
     result.cycles)`` (or pass the live PE counters of a truncated run).
     """
+    from repro.profiling.attribution import WaitForProfiler
+    from repro.profiling.topology import Topology
     from repro.stats.telemetry import EventBus
     if bus is None:
         bus = system.telemetry or EventBus()

@@ -81,6 +81,10 @@ class Topology:
         return tuple(n for n in self._consumers.get(queue, ())
                      if n.kind != "control")
 
+    def components(self) -> tuple:
+        """Names of every stage and DRM placed on a PE (per shard)."""
+        return tuple(self._pes)
+
     def pe_of(self, component: str) -> int:
         """PE hosting ``component``, or -1 when unknown."""
         return self._pes.get(component, -1)

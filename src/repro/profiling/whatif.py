@@ -95,6 +95,14 @@ def parse_whatif(spec: str) -> tuple:
     return target.strip(), percent
 
 
+def whatif_targets(profile) -> tuple:
+    """What a what-if on ``profile``'s run can name: ``memory``,
+    ``reconfig``, and the base name of each of its stages and DRMs."""
+    names = {base_name(name)
+             for name in profile.profiler.topology.components()}
+    return ("memory", "reconfig", *sorted(names))
+
+
 def _attributed(profile, target: str) -> float:
     """Critical-path cycles charged to ``target`` (stage names match on
     their base form, so ``bfs.fetch`` covers every shard)."""
@@ -110,12 +118,21 @@ def predict_speedup(profile, target: str,
                     percent: float) -> WhatIfPrediction:
     """Virtual speedup: shrink the target's critical-path share.
 
+    Raises :class:`ValueError` when ``target`` names nothing in the
+    run (see :func:`whatif_targets`).
+
     A component sped up by ``percent``% finishes its serialized work in
     ``1/(1 + percent/100)`` of the original time, so the saved cycles
     are ``attributed * (1 - 1/(1+p))``, clamped to the attribution.
     """
     if percent <= 0:
         raise ValueError(f"percent must be > 0, got {percent}")
+    targets = whatif_targets(profile)
+    if (target not in _MEMORY_NAMES + _RECONFIG_NAMES
+            and base_name(target) not in targets):
+        raise ValueError(
+            f"what-if target {target!r} is not memory, reconfig, or a "
+            f"stage or DRM of this run; choose from {', '.join(targets)}")
     factor = 1.0 + percent / 100.0
     attributed = _attributed(profile, target)
     saved = attributed * (1.0 - 1.0 / factor)

@@ -235,3 +235,25 @@ class TestCacheCli:
             assert cache_cli("stats")["artifacts"]["disk"]["entries"] == 0
         finally:
             configure_artifact_cache(None)
+
+    def test_default_root_is_the_one_inspected(self, tmp_path, monkeypatch,
+                                               capsys):
+        # With neither --cache-dir nor REPRO_CACHE_DIR, stats and gc
+        # printed ~/.cache/repro but read the memory-only process cache.
+        from repro.cli import main as cli_main
+
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        root = tmp_path / ".cache" / "repro"
+        ArtifactCache(root=root).put("codegen", "ab" * 32, {"source": ""})
+
+        def cache_cli(*argv):
+            assert cli_main(["cache", *argv]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        stats = cache_cli("stats")
+        assert stats["root"] == str(root)
+        assert stats["artifacts"]["disk"]["entries"] == 1
+        assert cache_cli("gc", "--all")["artifacts"]["removed_dirs"] == 1
+        assert list((root / "artifacts").iterdir()) == []
+        assert cache_cli("stats")["artifacts"]["disk"]["entries"] == 0

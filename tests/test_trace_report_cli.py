@@ -197,3 +197,34 @@ class TestCLI:
         app = argv[1]
         with pytest.raises(ValueError, match=field):
             prepare_input(app, APP_INPUTS[app][0], **{field: value})
+
+    #: Other bad input as (argv, text the one error line must contain).
+    #: Each exits 2 with one ``repro`` error line and no traceback,
+    #: instead of a wrong answer or a traceback after the run.
+    BAD_INPUT = [
+        (["profile", "bfs", "Hu", "--scale", "0.1", "--what-if",
+          "nosuch=50"], "choose from memory, reconfig, bfs."),
+        (["profile", "bfs", "Hu", "--scale", "0.1", "--top", "-1"],
+         "--top: must be at least 1"),
+        (["trace", "bfs", "Hu", "--scale", "0.1", "--pes", "0"],
+         "--pes: must be at least 1"),
+        (["stats", "bfs", "Hu", "--scale", "0.1", "--manifest-dir",
+          "{file}/manifests"], "cannot write"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", BAD_INPUT,
+                             ids=[" ".join(case[0][:1] + case[0][-2:])
+                                  for case in BAD_INPUT])
+    def test_bad_input_rejected(self, argv, message, tmp_path, capsys):
+        # A plain file where the manifest directory's parent should be.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [arg.format(file=blocker) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("repro")]
+        assert len(errors) == 1 and message in errors[0], err
+        assert "Traceback" not in err
