@@ -43,4 +43,5 @@ def test_scaling(benchmark):
     for (app, mode), speedups in scaling.items():
         # More PEs never hurt, and 32 PEs provide real scaling.
         assert speedups[-1] > 1.5, (app, mode, speedups)
-        assert speedups == sorted(speedups) or speedups[-1] >= speedups[-2] * 0.9
+        assert (speedups == sorted(speedups)
+                or speedups[-1] >= speedups[-2] * 0.9)

@@ -447,8 +447,10 @@ def apply_and_verify(kernel, config=None,
                                        "decoupled")
     report = analyze_program(program, config, "fifer")
 
-    builders = (("S0:fringe", workload._s0_dfg), ("S1:enum", workload._s1_dfg),
-                ("S2:fetch", workload._s2_dfg), ("S3:update", workload._s3_dfg))
+    builders = (("S0:fringe", workload._s0_dfg),
+                ("S1:enum", workload._s1_dfg),
+                ("S2:fetch", workload._s2_dfg),
+                ("S3:update", workload._s3_dfg))
     stage_dataflow = []
     for name, builder in builders:
         dfg = builder(0)

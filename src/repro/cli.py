@@ -109,10 +109,33 @@ def _count(text: str) -> int:
     return value
 
 
+def _period(text: str) -> float:
+    """argparse type: a positive number of cycles (exit 2 otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _fail(verb: str, message: str) -> NoReturn:
     """Exit 2 with one argparse-style ``repro VERB: error:`` line."""
     print(f"repro {verb}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _open_out(verb: str, path):
+    """``--out FILE`` opened for writing (stdout without one); called
+    before the run, so a bad path fails before simulating."""
+    if path is None:
+        return sys.stdout
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        _fail(verb, f"cannot write {path}: {exc}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -225,17 +248,12 @@ def cmd_trace(args) -> int:
             print(f"  {stage:<24} {share / total:6.1%}")
         return 0
 
-    if args.sample_period <= 0:
-        raise SystemExit("--sample-period must be positive")
     from repro.stats.telemetry import (EventBus, JsonlSink, PeriodicSampler,
                                        RecordingSink, chrome_trace)
     bus = EventBus()
     system.attach_telemetry(bus)
     sampler = bus.add_sampler(PeriodicSampler(args.sample_period))
-    try:
-        out = open(args.out, "w") if args.out else sys.stdout
-    except OSError as exc:
-        raise SystemExit(f"cannot write {args.out}: {exc}")
+    out = _open_out("trace", args.out)
     try:
         if args.format == "jsonl":
             bus.subscribe(JsonlSink(out))
@@ -518,29 +536,25 @@ def cmd_profile(args) -> int:
         whatifs = [parse_whatif(spec) for spec in args.what_if]
     except ValueError as exc:
         raise SystemExit(str(exc))
-    result = run_experiment(args.app, args.input, args.system,
-                            variant=args.variant, scale=args.scale,
-                            seed=args.seed, engine=args.engine,
-                            profile=True)
-    profile = result.profile
+    out = _open_out("profile", args.out)
     try:
-        predictions = [predict_speedup(profile, target, percent)
-                       for target, percent in whatifs]
-    except ValueError as exc:
-        _fail("profile", str(exc))
-    if args.validate:
-        from repro.profiling import validate_prediction
-        for prediction in predictions:
-            validate_prediction(prediction, args.app, args.input,
-                                args.system, variant=args.variant,
-                                scale=args.scale, seed=args.seed,
-                                engine=args.engine)
-
-    try:
-        out = open(args.out, "w") if args.out else sys.stdout
-    except OSError as exc:
-        raise SystemExit(f"cannot write {args.out}: {exc}")
-    try:
+        result = run_experiment(args.app, args.input, args.system,
+                                variant=args.variant, scale=args.scale,
+                                seed=args.seed, engine=args.engine,
+                                profile=True)
+        profile = result.profile
+        try:
+            predictions = [predict_speedup(profile, target, percent)
+                           for target, percent in whatifs]
+        except ValueError as exc:
+            _fail("profile", str(exc))
+        if args.validate:
+            from repro.profiling import validate_prediction
+            for prediction in predictions:
+                validate_prediction(prediction, args.app, args.input,
+                                    args.system, variant=args.variant,
+                                    scale=args.scale, seed=args.seed,
+                                    engine=args.engine)
         if args.format == "folded":
             out.write(profile.critical_path().folded())
         elif args.format == "json":
@@ -689,7 +703,7 @@ def main(argv=None) -> int:
     p_trace.add_argument("--out", default=None, metavar="FILE",
                          help="write chrome/jsonl output here "
                               "(default: stdout)")
-    p_trace.add_argument("--sample-period", type=float, default=512,
+    p_trace.add_argument("--sample-period", type=_period, default=512,
                          metavar="CYCLES",
                          help="queue-occupancy sampling period "
                               "(default: 512)")

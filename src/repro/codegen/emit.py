@@ -39,6 +39,14 @@ have left there, so schedulers, deadlock reports, and quiescence
 checks observe identical state. The interp shape keeps its state where
 the interpreter does: in the coroutine and ``stage.pending``.
 
+A step-function takes its owners as call arguments,
+``step(pe, stage, budget)`` for a stage and ``step(drm, budget)`` for a
+DRM. ``make_step`` binds only per-run constants into its closure:
+queues, caches, counter dicts and numbers, never a PE, stage or DRM or
+a bound method of one. So no owner is reachable from its own
+step-function, and a finished run's objects are freed by reference
+counting alone (docs/performance.md, "Object lifetimes").
+
 Source text is a pure function of the :class:`StageShape` — it never
 embeds queue names, shard ids, or addresses (those bind at
 ``make_step`` time) — so one cached artifact serves every shard of
@@ -61,7 +69,7 @@ from repro.cache.content import sha256_text
 # Bump when the emitted code changes in any way that should invalidate
 # cached sources independently of the surrounding package (the on-disk
 # artifact cache is additionally namespaced by code_version()).
-CODEGEN_VERSION = "6"
+CODEGEN_VERSION = "7"
 
 ROLES = ("s0", "s1", "s2", "s3")
 
@@ -534,7 +542,7 @@ def _request_loop(indent: int, pc, on_stop: list) -> str:
         _flush_counters(indent + 8, reset=True),
         f"{p12}stage.work_deq = wd",
         f"{p12}stage.work_enq = we",
-        f"{p12}outcome = try_perform(stage, req)",
+        f"{p12}outcome = pe._try_perform(stage, req)",
         f"{p12}wd = stage.work_deq",
         f"{p12}we = stage.work_enq",
         f'{p12}c_iss = counters.get("issued", 0.0)',
@@ -590,9 +598,10 @@ def _bind_out_queue(q: str, queue: str) -> str:
     ])
 
 
-# Bind-time locals every stage step-function shares: the PE, the
-# stage's cost constants and the L1 (the interp shape's make_step binds
-# the same set without hook bindings).
+# Bind-time locals every stage step-function shares: the stage's cost
+# constants, the PE's counters and queue cache, and the L1 (the interp
+# shape's make_step binds the same set without hook bindings). The PE
+# and the stage themselves arrive as arguments of each call.
 _STAGE_LOCALS = '''\
     ctx = stage.ctx
     producer = ctx.producer_key
@@ -607,7 +616,6 @@ _STAGE_LOCALS = '''\
     if speed != 1.0:
         r = r * speed
     inv_r = 1 / r
-    try_perform = pe._try_perform
     l1 = pe.l1
     l1_access = l1.access
     l1_lat = l1._latency
@@ -667,7 +675,7 @@ def _emit_s0(shape: StageShape) -> str:
     REQ_ENQ_STOP = ("enq", OUT_NAME, STOP_VALUE, True)
     REQ_ENQ_END = ("enq", OUT_NAME, END_ITER, True)
 
-    def step(budget):
+    def step(pe, stage, budget):
         spent = 0.0
         zero_streak = 0
         if not stage.started:
@@ -757,7 +765,7 @@ def _emit_s1(shape: StageShape) -> str:
     extra_addrs = workload.edge_extra_addrs
     REQ_DEQ_IN = ("deq", IN_NAME)
 
-    def step(budget):
+    def step(pe, stage, budget):
         spent = 0.0
         zero_streak = 0
         if not stage.started:
@@ -852,7 +860,7 @@ def _emit_s2(shape: StageShape) -> str:
     s2_payload = workload.s2_payload
     REQ_DEQ_IN = ("deq", IN_NAME)
 
-    def step(budget):
+    def step(pe, stage, budget):
         spent = 0.0
         zero_streak = 0
         if not stage.started:
@@ -902,7 +910,7 @@ def _emit_s3(shape: StageShape) -> str:
     BARRIER_DONE = ("done", shard)
     REQ_DEQ_IN = ("deq", IN_NAME)
 
-    def step(budget):
+    def step(pe, stage, budget):
         spent = 0.0
         zero_streak = 0
         if not stage.started:
@@ -966,7 +974,7 @@ def _emit_interp(shape: StageShape) -> str:
     interpreter."""
     body = f'''\
 
-    def step(budget):
+    def step(pe, stage, budget):
         spent = 0.0
         zero_streak = 0
         if not stage.started:
@@ -1025,7 +1033,6 @@ def make_step(drm):
     inv_issue = drm._inv_issue
     mm = drm.memmap
     read = mm.read
-    step_control = drm._step_control
     DRM_NAME = drm.spec.name
     pe_id = drm.pe_id
 '''
@@ -1150,7 +1157,7 @@ def _emit_drm_deref(shape: DrmShape) -> str:
         _drm_outputs(shape),
         init,
         "",
-        "    def step(budget):",
+        "    def step(drm, budget):",
         cells,
         "        if not in_tok:",
         "            return 0.0",
@@ -1161,7 +1168,7 @@ def _emit_drm_deref(shape: DrmShape) -> str:
         "        while spent < budget and in_tok:",
         "            token = in_tok[0]",
         "            if token.is_control:",
-        "                cost = step_control(token)",
+        "                cost = drm._step_control(token)",
         "                if cost is None:",
         *_drm_blocked(20, "drm._blocked_on"),
         "                spent += cost",
@@ -1188,7 +1195,7 @@ def _emit_drm_scan(shape: DrmShape) -> str:
         _drm_outputs(shape),
         init,
         "",
-        "    def step(budget):",
+        "    def step(drm, budget):",
         cells,
         "        sa = drm._scan_addr",
         "        if sa is None and not in_tok:",
@@ -1214,7 +1221,7 @@ def _emit_drm_scan(shape: DrmShape) -> str:
         "            else:",
         "                token = in_tok[0]",
         "                if token.is_control:",
-        "                    cost = step_control(token)",
+        "                    cost = drm._step_control(token)",
         "                    if cost is None:",
         *_drm_blocked(24, "drm._blocked_on"),
         "                else:",

@@ -9,8 +9,11 @@ Three layers keep warm paths free of source generation:
 2. a process-local map caches the executed module's ``make_step``
    factory per shape key, so repeat binds skip parsing and ``exec``;
 3. binding itself (one ``make_step`` call) is per stage-instance or
-   DRM and cheap — it resolves queues and hook methods into closure
-   locals.
+   DRM and cheap — it resolves queues, caches and the workload's hook
+   methods into closure locals. The PE, stage or DRM is an argument of
+   every call (``step(pe, stage, budget)``, ``step(drm, budget)``), so
+   no step-function holds its owner and a finished System is freed by
+   reference counting.
 
 Stages with a codegen descriptor bind their generated body under
 ``System.run(codegen=True)``; on every ``engine="fast"`` run, every

@@ -88,7 +88,8 @@ class OOOConfig:
     mlp_independent: float = 4.5
     mlp_dependent: float = 1.0
     l1: CacheConfig = field(default_factory=lambda: CacheConfig(32 * KB, 8, 4))
-    l2: CacheConfig = field(default_factory=lambda: CacheConfig(256 * KB, 8, 12))
+    l2: CacheConfig = field(
+        default_factory=lambda: CacheConfig(256 * KB, 8, 12))
     llc_per_core_bytes: int = 2 * MB
     barrier_cycles: int = 200
 
@@ -150,7 +151,8 @@ class SystemConfig:
             raise ValueError(f"n_drms must be >= 0, got {self.n_drms}")
         if self.drm_issue_width <= 0:
             raise ValueError(
-                f"drm_issue_width must be positive, got {self.drm_issue_width}")
+                f"drm_issue_width must be positive, got "
+                f"{self.drm_issue_width}")
         if self.drm_max_outstanding <= 0:
             raise ValueError(
                 f"drm_max_outstanding must be positive, got "

@@ -8,7 +8,8 @@ queues, decoupled reference machines, and control values.
 
 from repro.core.stage import StageSpec, StageContext, StageInstance, STOP_VALUE
 from repro.core.drm import DRM, DRMSpec
-from repro.core.scheduler import make_scheduler, MostWorkScheduler, RoundRobinScheduler
+from repro.core.scheduler import (make_scheduler, MostWorkScheduler,
+                                  RoundRobinScheduler)
 from repro.core.reconfig import ReconfigurationModel
 from repro.core.pe import ProcessingElement
 from repro.core.program import Program, PEProgram

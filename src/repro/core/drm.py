@@ -115,10 +115,11 @@ class DRM:
         self._blocked_on: Optional[str] = None
         # Optional telemetry Probe (repro.stats.telemetry).
         self.probe = None
-        # Generated step-function with run()'s signature, bound by the
-        # fast engine (repro.codegen.runtime.bind_system); None runs the
+        # Generated step-function, called as step_fn(drm, budget) with
+        # run()'s result; bound by the fast engine
+        # (repro.codegen.runtime.bind_system). None runs the
         # interpreted ladder.
-        self.step_fn: Optional[Callable[[float], float]] = None
+        self.step_fn: Optional[Callable[["DRM", float], float]] = None
 
     def _targets(self) -> Sequence[str]:
         if self.spec.route is not None:
@@ -257,7 +258,8 @@ class DRM:
                     self._scan_addr = start if start < end else None
                     self._scan_end = end
                     if start < end:
-                        self._scan_elem_bytes = self.memmap.elem_bytes_at(start)
+                        self._scan_elem_bytes = (
+                            self.memmap.elem_bytes_at(start))
                     cost = 1.0
                 else:  # strided
                     start, count, stride = token.value

@@ -385,7 +385,8 @@ class ProcessingElement:
             outgoing_depth, incoming.config_addr,
             incoming.mapping.config_bytes)
         if self._last_activation is not None:
-            self.counters.add("residence_sum", self.now - self._last_activation)
+            self.counters.add("residence_sum",
+                              self.now - self._last_activation)
             self.counters.add("residence_events")
         self.counters.add("reconfig_events")
         self.counters.add("reconfig_sum", period)
@@ -432,7 +433,7 @@ class ProcessingElement:
         """
         # A DRM runs its generated step-function when the fast engine
         # bound one (repro.codegen), else the interpreted ladder.
-        drm_used = [(drm.step_fn or drm.run)(budget)
+        drm_used = [(drm.step_fn or DRM.run)(drm, budget)
                     for drm in self.drms]
         remaining = float(budget) - self._debt
         self._debt = 0.0
@@ -492,7 +493,7 @@ class ProcessingElement:
             else:
                 # A generated step-function (repro.codegen) replays
                 # _execute's loop with the request protocol inlined.
-                used = step(remaining)
+                used = step(self, current, remaining)
             remaining -= used
             self.now += used
         if remaining < 0:
@@ -501,7 +502,7 @@ class ProcessingElement:
         # yet (keeps total DRM throughput at one quantum per quantum).
         for drm, used in zip(self.drms, drm_used):
             if used < budget:
-                (drm.step_fn or drm.run)(budget - used)
+                (drm.step_fn or DRM.run)(drm, budget - used)
 
     def _stall_fast(self, remaining: float) -> float:
         """Charge the rest of a quantum's blocked cycles in one step.

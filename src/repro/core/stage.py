@@ -129,12 +129,13 @@ class StageInstance:
     # unscaled code paths so ordinary runs stay bit-identical.
     speed: float = 1.0
     # Codegen attachment (repro.codegen.runtime.bind_system): a compiled
-    # step-function replacing PE._execute — a body generated for the
-    # stage's shape, or the generic interp one over the coroutine — plus
-    # a generated body's saved control state (program counter, loop
+    # step-function replacing PE._execute, called as
+    # step_fn(pe, stage, budget) — a body generated for the stage's
+    # shape, or the generic interp one over the coroutine — plus a
+    # generated body's saved control state (program counter, loop
     # counters, live sub-generator).
-    step_fn: Optional[Callable[[float], float]] = field(default=None,
-                                                       repr=False)
+    step_fn: Optional[Callable[[Any, "StageInstance", float], float]] = (
+        field(default=None, repr=False))
     cg: Optional[list] = field(default=None, repr=False)
 
     @property

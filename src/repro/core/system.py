@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 from repro.cgra.bitstream import generate_bitstream
@@ -38,6 +39,13 @@ from repro.stats.cpi_stack import cpi_stack, merge_stacks
 #: (docs/performance.md, tests/test_engine_equivalence.py,
 #: tests/test_engine_fuzz.py).
 ENGINES = ("fast", "naive")
+
+
+def _resolve(queues: dict, name: str) -> Queue:
+    try:
+        return queues[name]
+    except KeyError:
+        raise KeyError(f"no queue named {name!r} in the system") from None
 
 
 class DeadlockError(Exception):
@@ -121,7 +129,8 @@ class System:
         # stage or DRM resolves names.
         queue_memories = []
         for pe_id, pe_program in enumerate(program.pe_programs):
-            qmem = QueueMemory(config.queue_mem_bytes, config.max_queues_per_pe)
+            qmem = QueueMemory(config.queue_mem_bytes,
+                               config.max_queues_per_pe)
             if pe_program.queue_specs:
                 for name, queue in qmem.carve(pe_program.queue_specs).items():
                     if name in self._queues:
@@ -130,11 +139,14 @@ class System:
             queue_memories.append(qmem)
 
         # Pass 2: build PEs, stages (with mapped configurations), DRMs.
+        # PEs resolve names over the registry itself, not through a
+        # bound method: nothing the System builds refers back to it.
+        resolve = partial(_resolve, self._queues)
         speedups = dict(config.stage_speedup)
         for pe_id, pe_program in enumerate(program.pe_programs):
             pe = ProcessingElement(
                 pe_id, config, l1s[pe_id], queue_memories[pe_id],
-                self.resolve_queue, time_multiplex=(mode == "fifer"))
+                resolve, time_multiplex=(mode == "fifer"))
             for spec in pe_program.stage_specs:
                 caps = [cap for cap in (spec.max_replication,
                                         config.max_simd_replication)
@@ -161,10 +173,9 @@ class System:
             for drm_spec in pe_program.drm_specs:
                 targets = (drm_spec.route_targets if drm_spec.route
                            else (drm_spec.out_queue,))
-                out_queues = {name: self.resolve_queue(name)
-                              for name in targets}
+                out_queues = {name: resolve(name) for name in targets}
                 drm = DRM(drm_spec, pe_id,
-                          self.resolve_queue(drm_spec.in_queue), out_queues,
+                          resolve(drm_spec.in_queue), out_queues,
                           l1s[pe_id], program.memmap,
                           config.drm_max_outstanding, config.l1.latency,
                           issue_width=config.drm_issue_width)
@@ -193,10 +204,7 @@ class System:
         return 1 + max(p.shard for p in self.program.pe_programs)
 
     def resolve_queue(self, name: str) -> Queue:
-        try:
-            return self._queues[name]
-        except KeyError:
-            raise KeyError(f"no queue named {name!r} in the system") from None
+        return _resolve(self._queues, name)
 
     @property
     def queues(self) -> dict:

@@ -58,8 +58,9 @@ class CSRGraph:
             raise ValueError("offsets must be non-decreasing from 0")
         if self.offsets[-1] != len(self.neighbors):
             raise ValueError("offsets[-1] must equal len(neighbors)")
-        if len(self.neighbors) and (self.neighbors.min() < 0
-                                    or self.neighbors.max() >= self.n_vertices):
+        if len(self.neighbors) and (
+                self.neighbors.min() < 0
+                or self.neighbors.max() >= self.n_vertices):
             raise ValueError("neighbor ids out of range")
 
 
@@ -116,7 +117,8 @@ def power_law_graph(n: int, avg_degree: float, exponent: float = 2.0,
     """
     rng = np.random.default_rng(seed)
     m = int(n * avg_degree / 2)
-    weights = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (exponent - 1.0))
+    weights = (np.arange(1, n + 1, dtype=np.float64)
+               ** (-1.0 / (exponent - 1.0)))
     weights /= weights.sum()
     # Shuffle so hub ids are spread across the id space (and shards).
     perm = rng.permutation(n)

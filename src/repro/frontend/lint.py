@@ -51,46 +51,50 @@ def compute_levels(kernel: GraphKernel) -> dict:
     where all of its inputs are available.
     """
     level: dict[int, int] = {}
-
-    def visit(v: Value) -> int:
-        got = level.get(v.vid)
-        if got is not None:
-            return got
-        if v.op == "load":
-            lv = 1 + visit(v.args[0])
-        elif v.op == "edge":
-            start, end = v.attr
-            lv = max(visit(start), visit(end))
-        elif v.args:
-            lv = max(visit(a) for a in v.args)
-        else:
-            lv = 0  # const, vertex, epoch
-        level[v.vid] = lv
-        return lv
-
     for v in kernel.values:
-        visit(v)
+        _level(v, level)
     return level
+
+
+# The depth-first helpers are module functions, not nested ones: a
+# recursive nested function holds itself through its closure cell.
+
+
+def _level(v: Value, level: dict) -> int:
+    got = level.get(v.vid)
+    if got is not None:
+        return got
+    if v.op == "load":
+        lv = 1 + _level(v.args[0], level)
+    elif v.op == "edge":
+        start, end = v.attr
+        lv = max(_level(start, level), _level(end, level))
+    elif v.args:
+        lv = max(_level(a, level) for a in v.args)
+    else:
+        lv = 0  # const, vertex, epoch
+    level[v.vid] = lv
+    return lv
 
 
 def compute_edgy(kernel: GraphKernel) -> dict:
     """Whether each value depends on the edge induction variable."""
     edgy: dict[int, bool] = {}
-
-    def visit(v: Value) -> bool:
-        got = edgy.get(v.vid)
-        if got is not None:
-            return got
-        if v.op == "edge":
-            result = True
-        else:
-            result = any(visit(a) for a in v.args)
-        edgy[v.vid] = result
-        return result
-
     for v in kernel.values:
-        visit(v)
+        _edgy(v, edgy)
     return edgy
+
+
+def _edgy(v: Value, edgy: dict) -> bool:
+    got = edgy.get(v.vid)
+    if got is not None:
+        return got
+    if v.op == "edge":
+        result = True
+    else:
+        result = any(_edgy(a, edgy) for a in v.args)
+    edgy[v.vid] = result
+    return result
 
 
 def _edgy_leaf(v: Value, edgy: dict) -> Value:

@@ -50,40 +50,48 @@ def _compile(value, bind: dict, params: tuple, wl):
     ``bind`` maps value ids to parameter names; unbound marked loads
     compile to authoritative re-reads of the live arrays of ``wl``. The
     body is one Python expression whose operands evaluate in the order
-    of the expression tree; constants and arrays are bound as names of
-    the function's globals, the iteration counter is read from ``wl``.
+    of the expression tree; constants, arrays and the iteration counter
+    (``wl._epoch``, a one-element list) are bound as names of the
+    function's globals. Those globals hold neither ``wl`` nor the
+    function itself, so the workload that keeps the function is freed
+    by reference counting.
     """
-    names = {"wl": wl}
+    names = {"epoch": wl._epoch}
 
     def bound(obj) -> str:
         name = f"k{len(names)}"
         names[name] = obj
         return name
 
-    def text(value) -> str:
-        slot = bind.get(value.vid)
-        if slot is not None:
-            return slot
-        op = value.op
-        if op == "const":
-            return bound(value.attr)
-        if op == "epoch":
-            return "wl._epoch"
-        if op == "vertex":
-            return "v"
-        if op == "edge":
-            return "e"
-        if op == "load":
-            array = bound(wl._arrays[value.attr.ref.name])
-            return f"{array}[{text(value.args[0])}].item()"
-        if op in _PYSYMS:
-            return (f"({text(value.args[0])} {_PYSYMS[op]} "
-                    f"{text(value.args[1])})")
-        raise FrontendError(f"cannot compile {value.label} to Python")
-
-    source = f"def expr({', '.join(params)}):\n    return {text(value)}\n"
+    body = _text(value, bind, bound, wl._arrays)
+    source = f"def expr({', '.join(params)}):\n    return {body}\n"
     exec(compile(source, f"<kernel {wl.name}>", "exec"), names)
-    return names["expr"]
+    return names.pop("expr")
+
+
+def _text(value, bind: dict, bound, arrays: dict) -> str:
+    """The Python expression of ``value`` (see :func:`_compile`);
+    ``bound`` names an object in the function's globals."""
+    slot = bind.get(value.vid)
+    if slot is not None:
+        return slot
+    op = value.op
+    if op == "const":
+        return bound(value.attr)
+    if op == "epoch":
+        return "epoch[0]"
+    if op == "vertex":
+        return "v"
+    if op == "edge":
+        return "e"
+    if op == "load":
+        array = bound(arrays[value.attr.ref.name])
+        return f"{array}[{_text(value.args[0], bind, bound, arrays)}].item()"
+    if op in _PYSYMS:
+        left = _text(value.args[0], bind, bound, arrays)
+        right = _text(value.args[1], bind, bound, arrays)
+        return f"({left} {_PYSYMS[op]} {right})"
+    raise FrontendError(f"cannot compile {value.label} to Python")
 
 
 # -- DFG emission ----------------------------------------------------------
@@ -220,7 +228,8 @@ class FrontendWorkload(GraphPipelineWorkload):
             self._arrays[ref.name] = array
             self._refs[ref.name] = handle
         self._owner_handle = self._refs[self.plan.owner_load.attr.ref.name]
-        self._epoch = 1
+        # A one-element list the compiled expressions read in place.
+        self._epoch = [1]
         if self.plan.needs_dedup:
             self._in_next = [set() for _ in range(self.n_shards)]
 
@@ -281,7 +290,7 @@ class FrontendWorkload(GraphPipelineWorkload):
 
     def at_barrier(self, iteration: int) -> None:
         if self.plan.uses_epoch:
-            self._epoch += 1
+            self._epoch[0] += 1
         if self.plan.needs_dedup:
             for pending in self._in_next:
                 pending.clear()

@@ -53,7 +53,8 @@ class DataflowGraph:
                 f"{op}: expected {info.arity} operands, got {len(operands)}")
         for operand in operands:
             if operand not in self.nodes:
-                raise DFGError(f"operand {operand!r} is not in graph {self.name!r}")
+                raise DFGError(
+                    f"operand {operand!r} is not in graph {self.name!r}")
         node = Node(len(self.nodes), op, tuple(operands))
         self.nodes.append(node)
         return node
@@ -225,25 +226,8 @@ class DataflowGraph:
         """
         level: dict[int, int] = {}
         state: dict[int, int] = {}  # 0=unvisited, 1=on stack, 2=done
-
-        def visit(node: Node) -> int:
-            seen = state.get(node.node_id, 0)
-            if seen == 1:
-                raise DFGError(
-                    f"graph {self.name!r} has a combinational cycle through "
-                    f"{node!r}")
-            if seen == 2:
-                return level[node.node_id]
-            state[node.node_id] = 1
-            depth = 0
-            for operand in self._forward_operands(node):
-                depth = max(depth, visit(operand) + 1)
-            state[node.node_id] = 2
-            level[node.node_id] = depth
-            return depth
-
         for node in self.nodes:
-            visit(node)
+            self._visit(node, level, state)
         if not level:
             return []
         n_levels = max(level.values()) + 1
@@ -251,6 +235,25 @@ class DataflowGraph:
         for node in self.nodes:
             result[level[node.node_id]].append(node)
         return result
+
+    def _visit(self, node: Node, level: dict, state: dict) -> int:
+        """Depth-first step of :meth:`levels`: ``node``'s level, memoized
+        in ``level``. A method rather than a nested function, which
+        would hold itself through its closure cell."""
+        seen = state.get(node.node_id, 0)
+        if seen == 1:
+            raise DFGError(
+                f"graph {self.name!r} has a combinational cycle through "
+                f"{node!r}")
+        if seen == 2:
+            return level[node.node_id]
+        state[node.node_id] = 1
+        depth = 0
+        for operand in self._forward_operands(node):
+            depth = max(depth, self._visit(operand, level, state) + 1)
+        state[node.node_id] = 2
+        level[node.node_id] = depth
+        return depth
 
     @property
     def depth(self) -> int:
@@ -263,7 +266,9 @@ class DataflowGraph:
         for node in self.nodes:
             ops = ", ".join(f"%n{o.node_id}" for o in node.operands)
             attr = f" ${node.op.attr}" if node.op.attr is not None else ""
-            lines.append(f"  %n{node.node_id} = {node.kind.value}{attr} {ops}".rstrip())
+            lines.append(
+                f"  %n{node.node_id} = {node.kind.value}{attr} {ops}"
+                .rstrip())
         return f"{self.name}:\n" + "\n".join(lines)
 
     _ASM_BINARY = {

@@ -8,4 +8,5 @@ arrays occupy while functional values are read directly from the arrays.
 from repro.memory.address import AddressSpace, ArrayRef
 from repro.memory.cache import Cache, MainMemory, build_hierarchy
 
-__all__ = ["AddressSpace", "ArrayRef", "Cache", "MainMemory", "build_hierarchy"]
+__all__ = ["AddressSpace", "ArrayRef", "Cache", "MainMemory",
+           "build_hierarchy"]

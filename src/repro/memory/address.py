@@ -36,7 +36,8 @@ class AddressSpace:
 
     def __init__(self, base: int = 0x1000_0000, align: int = 64):
         if align <= 0 or align & (align - 1):
-            raise AllocationError(f"alignment must be a power of two, got {align}")
+            raise AllocationError(
+                f"alignment must be a power of two, got {align}")
         self._align = align
         self._next = self._round_up(base)
         self._regions: dict[str, Region] = {}
@@ -49,13 +50,15 @@ class AddressSpace:
         if name in self._regions:
             raise AllocationError(f"region {name!r} already allocated")
         if size <= 0:
-            raise AllocationError(f"region {name!r} has non-positive size {size}")
+            raise AllocationError(
+                f"region {name!r} has non-positive size {size}")
         region = Region(name, self._next, size)
         self._next = self._round_up(region.end)
         self._regions[name] = region
         return region
 
-    def alloc_array(self, name: str, n_elems: int, elem_bytes: int = 8) -> "ArrayRef":
+    def alloc_array(self, name: str, n_elems: int,
+                    elem_bytes: int = 8) -> "ArrayRef":
         """Reserve space for ``n_elems`` elements of ``elem_bytes`` each."""
         region = self.alloc(name, max(1, n_elems) * elem_bytes)
         return ArrayRef(region, elem_bytes)

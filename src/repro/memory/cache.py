@@ -85,7 +85,8 @@ class Cache:
         n_sets = config.n_sets
         if n_sets <= 0 or n_sets & (n_sets - 1):
             raise ValueError(
-                f"cache {name!r}: set count {n_sets} is not a positive power of two")
+                f"cache {name!r}: set count {n_sets} is not a positive "
+                f"power of two")
         self._set_mask = n_sets - 1
         self._line_shift = config.line_bytes.bit_length() - 1
         self._latency = float(config.latency)
@@ -129,7 +130,8 @@ class Cache:
         return latency
 
     def touch_range(self, base: int, size: int, write: bool = False) -> float:
-        """Access every line in ``[base, base+size)``; returns total latency."""
+        """Access every line in ``[base, base+size)``; returns total
+        latency."""
         latency = 0.0
         line_bytes = self.config.line_bytes
         addr = base & ~(line_bytes - 1)

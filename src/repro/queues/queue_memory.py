@@ -56,7 +56,8 @@ class QueueSpec:
         return self.entry_words * max(1, len(self.producers))
 
 
-def plan_capacities(budget_words: int, specs: Sequence[QueueSpec]) -> list[int]:
+def plan_capacities(budget_words: int,
+                    specs: Sequence[QueueSpec]) -> list[int]:
     """Pure capacity plan: divide ``budget_words`` among ``specs``.
 
     Memory accrues proportionally to ``weight``, with each queue floored
@@ -107,7 +108,8 @@ class QueueMemory:
             raise QueueMemoryError("no queues requested")
         if len(specs) > self.max_queues:
             raise QueueMemoryError(
-                f"{len(specs)} queues exceed the {self.max_queues}-queue limit")
+                f"{len(specs)} queues exceed the {self.max_queues}-queue "
+                f"limit")
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise QueueMemoryError(f"duplicate queue names in {names}")

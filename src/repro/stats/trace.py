@@ -116,7 +116,7 @@ class ActivationTracer(EventSink):
             shares[stage] = shares.get(stage, 0.0) + duration
         return shares
 
-    # -- rendering -------------------------------------------------------------
+    # -- rendering ------------------------------------------------------------
 
     def gantt(self, end_cycle: float, width: int = 72,
               max_pes: int = 8) -> str:

@@ -248,7 +248,7 @@ class GraphPipelineWorkload:
         base = self._fringe_refs[shard][half].addr(0)
         return base, base + count * 8
 
-    # -- queue naming ----------------------------------------------------------
+    # -- queue naming ---------------------------------------------------------
 
     def q(self, kind: str, shard: int) -> str:
         return f"{self.name}.{kind}@{shard}"
@@ -256,7 +256,7 @@ class GraphPipelineWorkload:
     def stage_name(self, stage: str, shard: int) -> str:
         return f"{self.name}.{stage}@{shard}"
 
-    # -- stage semantics -------------------------------------------------------
+    # -- stage semantics ------------------------------------------------------
 
     # The stage coroutines yield request tuples directly instead of
     # going through the ctx.* helper sub-generators, and hoist their
@@ -383,7 +383,7 @@ class GraphPipelineWorkload:
 
         return run
 
-    # -- stage dataflow graphs -------------------------------------------------
+    # -- stage dataflow graphs ------------------------------------------------
 
     def _s0_dfg(self, shard: int):
         b = DFGBuilder(self.stage_name("fringe", shard))
@@ -448,7 +448,7 @@ class GraphPipelineWorkload:
         b.store(addr, updated)
         return b.finish(strict=True)
 
-    # -- program assembly --------------------------------------------------------
+    # -- program assembly -----------------------------------------------------
 
     def _shard_queue_specs(self, shard: int) -> dict:
         """All queues of one shard, keyed by placement group."""
@@ -616,7 +616,7 @@ class GraphPipelineWorkload:
                     ))
         return self._finish_program(pe_programs)
 
-    # -- merged variant (Fig. 17) -------------------------------------------------
+    # -- merged variant (Fig. 17) ---------------------------------------------
 
     def _merged_semantics(self, shard: int):
         """S0+S1+S2 fused: coupled loads for fringe/offsets/state/neighbors."""

@@ -208,7 +208,7 @@ class SiloWorkload:
 
         return run
 
-    # -- dataflow graphs ----------------------------------------------------------
+    # -- dataflow graphs ------------------------------------------------------
 
     def _query_dfg(self, shard: int):
         b = DFGBuilder(self.stage_name("query", shard))
@@ -255,7 +255,7 @@ class SiloWorkload:
         b.set_reg(count, total)
         return b.finish()
 
-    # -- merged variant: traverse+leaf+output fused, coupled node loads -------------
+    # -- merged variant: traverse+leaf+output fused, coupled node loads -------
 
     def _merged_semantics(self, shard: int):
         q = self.q
@@ -320,7 +320,7 @@ class SiloWorkload:
 
         return run
 
-    # -- program assembly -----------------------------------------------------------
+    # -- program assembly -----------------------------------------------------
 
     def _shard_groups(self, shard: int):
         q = self.q

@@ -117,7 +117,7 @@ class SpMMWorkload:
         self.shard_rows = [self.rows[bounds[s]:bounds[s + 1]]
                            for s in range(n_shards)]
 
-    # -- naming ----------------------------------------------------------------
+    # -- naming ---------------------------------------------------------------
 
     def q(self, kind: str, shard: int) -> str:
         return f"{self.name}.{kind}@{shard}"
@@ -129,7 +129,7 @@ class SpMMWorkload:
         return (int(np.searchsorted(self.rows, i)) * len(self.cols)
                 + int(np.searchsorted(self.cols, j)))
 
-    # -- stage semantics ----------------------------------------------------------
+    # -- stage semantics ------------------------------------------------------
 
     def _pairs(self, shard: int):
         for i in self.shard_rows[shard]:
@@ -288,7 +288,7 @@ class SpMMWorkload:
 
         return run
 
-    # -- stage dataflow graphs -------------------------------------------------
+    # -- stage dataflow graphs ------------------------------------------------
 
     def _stream_dfg(self, shard: int, side: str):
         b = DFGBuilder(self.stage_name(f"stream_{side}", shard))
@@ -338,7 +338,7 @@ class SpMMWorkload:
         b.store(b.lea(base, token), total)
         return b.finish()
 
-    # -- merged variant (Fig. 17): whole multiply in one stage -----------------------
+    # -- merged variant (Fig. 17): whole multiply in one stage ----------------
 
     def _merged_semantics(self, shard: int):
         matrix = self.matrix
@@ -395,7 +395,7 @@ class SpMMWorkload:
         b.store(b.lea(base, eq), total)
         return b.finish()
 
-    # -- program assembly ---------------------------------------------------------
+    # -- program assembly -----------------------------------------------------
 
     def _shard_groups(self, shard: int):
         q = self.q

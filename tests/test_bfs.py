@@ -5,7 +5,8 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core import System
-from repro.datasets.graphs import power_law_graph, uniform_random_graph, grid_graph
+from repro.datasets.graphs import (power_law_graph, uniform_random_graph,
+                                   grid_graph)
 from repro.workloads import bfs
 
 

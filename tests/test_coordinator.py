@@ -1,7 +1,6 @@
 """Unit tests for the control core's IterationCoordinator, against a
 fake system (no simulation)."""
 
-import numpy as np
 import pytest
 
 from repro.core.stage import STOP_VALUE

@@ -87,8 +87,10 @@ class TestDerefMode:
         for tag in range(4):
             in_q.enq((ref.addr(tag), tag))
         drm.run(100)
-        assert [t.value[1] for t in (outs["even"].deq(), outs["even"].deq())] == [0, 2]
-        assert [t.value[1] for t in (outs["odd"].deq(), outs["odd"].deq())] == [1, 3]
+        evens = (outs["even"].deq(), outs["even"].deq())
+        odds = (outs["odd"].deq(), outs["odd"].deq())
+        assert [t.value[1] for t in evens] == [0, 2]
+        assert [t.value[1] for t in odds] == [1, 3]
 
     def test_control_broadcast_to_all_routes(self):
         l1, memmap, ref, data = _env()

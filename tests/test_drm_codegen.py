@@ -11,6 +11,7 @@ unfiltered recording sink attached, the event stream.
 """
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def _compare(case, seed=0, steps=60, record=False):
     generated, ladder = (World(case, bus) for bus in buses)
     shape = drm_shape(generated.drm)
     assert shape == case["shape"]
-    step = _factory_for(shape)(generated.drm)
+    step = partial(_factory_for(shape)(generated.drm), generated.drm)
     actions = _script(case, generated.refs, seed, steps)
     assert _play(generated, actions, step) == _play(ladder, actions,
                                                     ladder.drm.run)
@@ -287,7 +288,7 @@ def test_credit_stall_probe_fires_identically():
     rng = random.Random(7)
     for _ in range(40):
         world.push(_deref_token(rng, world.refs, 1, True))
-    step(1000.0)
+    step(world.drm, 1000.0)
     kinds = {e.kind for e in sink.events}
     assert kinds == {"queue.credit_stall", "drm.blocked"}
 
@@ -297,7 +298,8 @@ def test_budget_runs_out_mid_stream():
     and the next call resumes where the first stopped."""
     case = REGISTERED["w2_payload"]
     generated, ladder = World(case), World(case)
-    step = _factory_for(drm_shape(generated.drm))(generated.drm)
+    step = partial(_factory_for(drm_shape(generated.drm))(generated.drm),
+                   generated.drm)
     rng = random.Random(8)
     tokens = [_deref_token(rng, generated.refs, 2, True) for _ in range(6)]
     for world in (generated, ladder):

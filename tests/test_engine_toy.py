@@ -92,7 +92,8 @@ def test_fifer_reconfigures_more_with_small_queues():
                      small, mode="fifer").run(max_cycles=5_000_000)
     r_large = System(SystemConfig(n_pes=1, queue_mem_bytes=16 * 1024),
                      large, mode="fifer").run(max_cycles=5_000_000)
-    assert r_small.counters["reconfig_events"] > r_large.counters["reconfig_events"]
+    assert (r_small.counters["reconfig_events"]
+            > r_large.counters["reconfig_events"])
     assert r_small.result == r_large.result
 
 

@@ -1,7 +1,6 @@
 """Unit tests for GraphPipelineWorkload internals (fringe buffers,
 barrier stepping, scan ranges, program assembly)."""
 
-import numpy as np
 import pytest
 
 from repro.config import SystemConfig
@@ -24,8 +23,10 @@ class TestFringeBuffers:
 
     def test_append_returns_written_address(self, workload):
         addr = workload._append_touched(1, 17)
-        assert addr == workload._fringe_refs[1][0].addr(1 if 1 == shard_of(0, 4) else 0)
-        assert workload._fringe_arrays[1][0][workload._write_count[1] - 1] == 17
+        slot = 1 if 1 == shard_of(0, 4) else 0
+        assert addr == workload._fringe_refs[1][0].addr(slot)
+        written = workload._write_count[1] - 1
+        assert workload._fringe_arrays[1][0][written] == 17
 
     def test_barrier_swaps_buffers(self, workload):
         before = list(workload._write_half)

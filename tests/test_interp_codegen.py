@@ -202,7 +202,7 @@ def _play(world, actions, run):
 def _bind(world):
     steps = {id(stage): _factory_for(INTERP)(world.pe, stage)
              for stage in world.stages}
-    return lambda w, stage, budget: steps[id(stage)](budget)
+    return lambda w, stage, budget: steps[id(stage)](w.pe, stage, budget)
 
 
 def _execute(world, stage, budget):

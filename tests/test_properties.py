@@ -72,7 +72,7 @@ def test_address_space_regions_disjoint(sizes):
         assert e1 <= b2
 
 
-# -- caches --------------------------------------------------------------------
+# -- caches -------------------------------------------------------------------
 
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1,
                 max_size=200))
@@ -102,7 +102,7 @@ def test_cache_inclusion_of_recent_lines(line_ids):
             assert cache.contains(line * 64)
 
 
-# -- B+tree ---------------------------------------------------------------------
+# -- B+tree -------------------------------------------------------------------
 
 @given(st.sets(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
                min_size=1, max_size=300),
@@ -133,7 +133,7 @@ def test_btree_paths_have_tree_depth(keys, fanout):
         assert all(not tree.nodes[n].is_leaf for n in path[:-1])
 
 
-# -- graph algorithm invariants ---------------------------------------------------
+# -- graph algorithm invariants -----------------------------------------------
 
 @given(st.integers(min_value=2, max_value=120),
        st.floats(min_value=1.0, max_value=6.0),
@@ -166,7 +166,7 @@ def test_cc_labels_constant_within_edges(n, deg, seed):
         assert labels[v] <= v
 
 
-# -- SpMM reference vs dense ------------------------------------------------------
+# -- SpMM reference vs dense --------------------------------------------------
 
 @given(st.integers(min_value=2, max_value=40),
        st.floats(min_value=0.5, max_value=8.0),

@@ -210,6 +210,14 @@ class TestCLI:
          "--pes: must be at least 1"),
         (["stats", "bfs", "Hu", "--scale", "0.1", "--manifest-dir",
           "{file}/manifests"], "cannot write"),
+        (["profile", "spmm", "FS", "--scale", "0.1", "--out",
+          "{file}/x.txt"], "cannot write"),
+        (["trace", "spmm", "FS", "--scale", "0.1", "--format", "jsonl",
+          "--out", "{file}/x.jsonl"], "cannot write"),
+        (["trace", "spmm", "FS", "--scale", "0.1", "--format", "jsonl",
+          "--sample-period", "0"], "--sample-period: must be positive"),
+        (["trace", "spmm", "FS", "--scale", "0.1", "--sample-period", "0",
+          "--format", "gantt"], "--sample-period: must be positive"),
     ]
 
     @pytest.mark.parametrize("argv,message", BAD_INPUT,
