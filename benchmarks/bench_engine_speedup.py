@@ -6,10 +6,9 @@ deadlock/timeout horizon (docs/performance.md). Both engines are
 cycle- and counter-exact (tests/test_engine_equivalence.py,
 tests/test_engine_fuzz.py), so the only difference is wall time — and
 the *work counts* this benchmark reports alongside it: per-PE quanta
-actually stepped and quanta jumped over. The grid is additionally
-timed with compiled step-functions (``codegen=True``,
-``repro.codegen``) on the fast engine; codegen is equally bit-exact,
-so its row lands in the same table.
+actually stepped and quanta jumped over. The fast engine also runs
+every stage and DRM as a generated step-function (``repro.codegen``)
+where the naive engine interprets.
 
 Two regimes are measured, because they answer different questions:
 
@@ -42,22 +41,15 @@ SPEEDUP_FLOOR = 1.15
 # dead quantum with one bulk charge; measured ~4000-10000x over naive,
 # so this floor only catches a lost jump.
 HORIZON_FLOOR = 1000.0
-# Compiled step-functions (codegen=True) versus the interpreted
-# coroutine path on the same build and engine. Same-build gains are
-# bounded by the shared simulation core (DRM transfers, caches); the
-# headline >= 1.5x of docs/performance.md is measured against the
-# pre-codegen baselines in benchmarks/results/history/, which the
-# regression observatory tracks.
-CODEGEN_FLOOR = 1.05
 
 _STAT_KEYS = ("quanta", "pe_quanta", "jumped_quanta")
 
 
-def _timed_sweep(points, engine, codegen=False):
+def _timed_sweep(points, engine):
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; choose from {ENGINES}")
-    pts = [replace(p, engine=engine, codegen=codegen) for p in points]
+    pts = [replace(p, engine=engine) for p in points]
     start = time.perf_counter()
     results = run_sweep(pts, workers=WORKERS)
     return time.perf_counter() - start, results
@@ -126,10 +118,6 @@ def run_engine_speedup():
     timings, results = {}, {}
     for engine in ENGINES:
         timings[engine], results[engine] = _timed_sweep(points, engine)
-    # Compiled step-functions on the fast engine; the naive reference
-    # stays interpreted by definition.
-    timings["fast+codegen"], results["fast+codegen"] = _timed_sweep(
-        points, "fast", codegen=True)
     reference = [r.cycles for r in results["naive"]]
     for label, res in results.items():
         assert [r.cycles for r in res] == reference, label
@@ -137,7 +125,7 @@ def run_engine_speedup():
                for label in timings}
     counts = {label: _work_counts(res) for label, res in results.items()}
     rows = []
-    for label in ("naive", "fast", "fast+codegen"):
+    for label in ("naive", "fast"):
         c = counts[label]
         rows.append([
             label, f"{timings[label]:.2f}", f"{speedup[label]:.2f}x",
@@ -147,8 +135,7 @@ def run_engine_speedup():
          "quanta jumped"], rows,
         title=(f"fig13 grid ({len(points)} experiments) end-to-end wall "
                f"time and work counts by simulation engine, same build "
-               f"(floors: fast/naive >= {SPEEDUP_FLOOR}x, fast+codegen/"
-               f"fast >= {CODEGEN_FLOOR}x)"))
+               f"(floor: fast/naive >= {SPEEDUP_FLOOR}x)"))
 
     horizon, horizon_cycles = {}, {}
     for engine in ENGINES:
@@ -166,12 +153,11 @@ def run_engine_speedup():
                f"quanta; floor: fast/naive >= {HORIZON_FLOOR:.0f}x)"))
 
     emit("engine_speedup", grid_table + "\n\n" + horizon_table)
-    return (speedup["fast"], horizon["naive"] / horizon["fast"],
-            timings["fast"] / timings["fast+codegen"])
+    return speedup["fast"], horizon["naive"] / horizon["fast"]
 
 
 def test_engine_speedup(benchmark):
-    fast_speedup, horizon_vs_naive, codegen_vs_interp = benchmark.pedantic(
+    fast_speedup, horizon_vs_naive = benchmark.pedantic(
         run_engine_speedup, rounds=1, iterations=1)
     assert fast_speedup >= SPEEDUP_FLOOR, (
         f"fast engine speedup {fast_speedup:.2f}x is under the "
@@ -179,6 +165,3 @@ def test_engine_speedup(benchmark):
     assert horizon_vs_naive >= HORIZON_FLOOR, (
         f"fast engine horizon jump at {horizon_vs_naive:.1f}x of naive, "
         f"under the {HORIZON_FLOOR:.0f}x floor")
-    assert codegen_vs_interp >= CODEGEN_FLOOR, (
-        f"compiled step-functions at {codegen_vs_interp:.2f}x of the "
-        f"interpreted fast engine, under the {CODEGEN_FLOOR}x floor")

@@ -14,12 +14,9 @@ Absolute factors differ (scaled inputs, analytic OOO model); the
 ordering Fifer > static > multicore > serial should hold per the paper.
 """
 
-import time
-from dataclasses import replace
-
-from bench_common import (ALL_APPS, WORKERS, app_inputs, emit, experiment,
-                          point, prefetch)
-from repro.harness import format_table, gmean, run_sweep
+from bench_common import (ALL_APPS, app_inputs, emit, experiment, point,
+                          prefetch)
+from repro.harness import format_table, gmean
 from repro.harness.run import SYSTEMS
 
 
@@ -46,15 +43,6 @@ def _speedups(app: str):
     return rows, per_system
 
 
-def _timed_grid(codegen: bool):
-    """End-to-end wall time of the full grid (fresh sweep, cold
-    bench-cache) with compiled step-functions on or off."""
-    pts = [replace(p, codegen=codegen) for p in fig13_points()]
-    start = time.perf_counter()
-    results = run_sweep(pts, workers=WORKERS)
-    return time.perf_counter() - start, [r.cycles for r in results]
-
-
 def run_fig13():
     prefetch(fig13_points())
     blocks = []
@@ -77,31 +65,13 @@ def run_fig13():
          ["static / serial (gmean)", "25x", f"{static_vs_serial:.1f}x"],
          ["Fifer / multicore (gmean)", "17x", f"{gmean(fifer_all):.1f}x"]],
         title="Fig. 13 summary (paper vs. measured)")
-    # Wall time of the whole grid with compiled step-functions on/off —
-    # the simulator-throughput companion to the cycle tables above. The
-    # regression observatory compares these against the pre-codegen
-    # baselines in benchmarks/results/history/.
-    interp_wall, interp_cycles = _timed_grid(codegen=False)
-    codegen_wall, codegen_cycles = _timed_grid(codegen=True)
-    assert codegen_cycles == interp_cycles, "codegen changed fig13 cycles"
-    wall_table = format_table(
-        ["execution path", "wall time (s)", "vs interpreted"],
-        [["interpreted coroutines", f"{interp_wall:.2f}", "1.00x"],
-         ["compiled step-functions", f"{codegen_wall:.2f}",
-          f"{interp_wall / codegen_wall:.2f}x"]],
-        title=("fig13 grid end-to-end wall time, fast engine, "
-               "identical cycles both paths"))
-    emit("fig13_performance", "\n\n".join(blocks + [summary, wall_table]))
-    return fifer_vs_static, gmean(fifer_all), interp_wall / codegen_wall
+    emit("fig13_performance", "\n\n".join(blocks + [summary]))
+    return fifer_vs_static, gmean(fifer_all)
 
 
 def test_fig13_performance(benchmark):
-    fifer_vs_static, fifer_vs_multicore, codegen_ratio = benchmark.pedantic(
+    fifer_vs_static, fifer_vs_multicore = benchmark.pedantic(
         run_fig13, rounds=1, iterations=1)
     # Shape assertions: who wins, in the paper's direction.
     assert fifer_vs_static > 1.3
     assert fifer_vs_multicore > 3.0
-    # Codegen must not regress simulator throughput on the grid.
-    assert codegen_ratio >= 1.0, (
-        f"compiled step-functions slowed the fig13 grid to "
-        f"{codegen_ratio:.2f}x of interpreted")

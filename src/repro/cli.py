@@ -65,7 +65,6 @@ from pathlib import Path
 from typing import NoReturn
 
 from repro.config import SystemConfig
-from repro.env import EnvKnobError
 from repro.harness.format import format_table
 from repro.harness.run import (APP_INPUTS, SYSTEMS, build_cgra_program,
                                check_scale_seed, prepare_input,
@@ -229,45 +228,54 @@ def _traceable_system(args):
     return System(config, program, mode="fifer")
 
 
-def cmd_trace(args) -> int:
-    _check_input(args.app, args.input)
-    system = _traceable_system(args)
+def _gantt_trace(system, args, out):
+    """Run under an activation tracer; write the ASCII chart and the
+    resident-cycle share table to ``out``."""
+    from repro.stats.trace import ActivationTracer
+    with ActivationTracer().attach(system) as tracer:
+        result = system.run(engine=args.engine)
+    print(f"{args.app}/{args.input} on Fifer: {result.cycles:,.0f} "
+          f"cycles, {len(tracer.events)} activations\n", file=out)
+    print(tracer.gantt(result.cycles, max_pes=args.pes), file=out)
+    shares = tracer.stage_cycle_share(result.cycles)
+    total = sum(shares.values())
+    print("\nresident-cycle share by stage:", file=out)
+    for stage, share in sorted(shares.items(), key=lambda kv: -kv[1])[:12]:
+        print(f"  {stage:<24} {share / total:6.1%}", file=out)
+    return result
 
-    if args.format == "gantt":
-        from repro.stats.trace import ActivationTracer
-        with ActivationTracer().attach(system) as tracer:
-            result = system.run(engine=args.engine)
-        print(f"{args.app}/{args.input} on Fifer: {result.cycles:,.0f} "
-              f"cycles, {len(tracer.events)} activations\n")
-        print(tracer.gantt(result.cycles, max_pes=args.pes))
-        shares = tracer.stage_cycle_share(result.cycles)
-        total = sum(shares.values())
-        print("\nresident-cycle share by stage:")
-        for stage, share in sorted(shares.items(),
-                                   key=lambda kv: -kv[1])[:12]:
-            print(f"  {stage:<24} {share / total:6.1%}")
-        return 0
 
+def _event_trace(system, args, out):
+    """Run with telemetry attached; write the chrome or jsonl trace to
+    ``out``."""
     from repro.stats.telemetry import (EventBus, JsonlSink, PeriodicSampler,
                                        RecordingSink, chrome_trace)
     bus = EventBus()
     system.attach_telemetry(bus)
     sampler = bus.add_sampler(PeriodicSampler(args.sample_period))
+    if args.format == "jsonl":
+        bus.subscribe(JsonlSink(out))
+        result = system.run(engine=args.engine)
+    else:  # chrome
+        sink = bus.subscribe(RecordingSink(
+            kinds=("stage.activate", "reconfig.begin")))
+        result = system.run(engine=args.engine)
+        json.dump(chrome_trace(sink.events, result.cycles,
+                               samples=sampler.samples,
+                               process_name=f"{args.app}/{args.input}"),
+                  out, sort_keys=True)
+        out.write("\n")
+    bus.close()
+    return result
+
+
+def cmd_trace(args) -> int:
+    _check_input(args.app, args.input)
+    system = _traceable_system(args)
     out = _open_out("trace", args.out)
     try:
-        if args.format == "jsonl":
-            bus.subscribe(JsonlSink(out))
-            result = system.run(engine=args.engine)
-        else:  # chrome
-            sink = bus.subscribe(RecordingSink(
-                kinds=("stage.activate", "reconfig.begin")))
-            result = system.run(engine=args.engine)
-            json.dump(chrome_trace(sink.events, result.cycles,
-                                   samples=sampler.samples,
-                                   process_name=f"{args.app}/{args.input}"),
-                      out, sort_keys=True)
-            out.write("\n")
-        bus.close()
+        write = _gantt_trace if args.format == "gantt" else _event_trace
+        result = write(system, args, out)
     finally:
         if args.out:
             out.close()
@@ -287,19 +295,6 @@ def cmd_compile(args) -> int:
         raise SystemExit(
             f"no stage {args.stage}; {args.workload} has "
             f"{len(stages)} stages (0..{len(stages) - 1})")
-    if args.emit_python:
-        records = pipeline.emit_python(stage=args.stage)
-        if args.json:
-            payload = records[0] if args.stage is not None else records
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
-        for i, rec in enumerate(records):
-            if i:
-                print()
-            print(f"# stage {rec['index']}: {rec['name']} "
-                  f"(role {rec['role']}, codegen key {rec['key'][:12]})")
-            print(rec["source"], end="")
-        return 0
     if args.json:
         payload = (stages[args.stage] if args.stage is not None
                    else description)
@@ -701,7 +696,7 @@ def main(argv=None) -> int:
                          help="gantt: ASCII chart; chrome: Perfetto-loadable "
                               "trace-event JSON; jsonl: raw event stream")
     p_trace.add_argument("--out", default=None, metavar="FILE",
-                         help="write chrome/jsonl output here "
+                         help="write the chart or trace here "
                               "(default: stdout)")
     p_trace.add_argument("--sample-period", type=_period, default=512,
                          metavar="CYCLES",
@@ -712,10 +707,6 @@ def main(argv=None) -> int:
     p_compile = sub.add_parser(
         "compile", help="split an annotated kernel into its stage pipeline")
     p_compile.add_argument("workload", choices=KERNELS)
-    p_compile.add_argument("--emit-python", action="store_true",
-                           help="dump the specialized Python step-function "
-                                "source the codegen backend binds at "
-                                "run(codegen=True)")
     p_compile.add_argument("--stage", type=int, default=None, metavar="N",
                            help="show only stage N (0-based)")
     p_compile.add_argument("--json", action="store_true",
@@ -848,9 +839,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnvKnobError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # stdout's reader went away (e.g. `repro cache stats | head`);
         # detach so the interpreter's shutdown flush cannot re-raise.

@@ -1,28 +1,14 @@
 """Deterministic Python source generation for pipeline stages and DRMs.
 
-Every stage step-function inlines the request protocol of
-``PE._try_perform`` / ``PE._execute`` — and the queue transfer bodies
-of ``Queue.enq`` / ``Queue.deq`` — with counters, cost constants and
-the L1 bound as locals. Two kinds of stage shape exist:
-
-* Each of the four decoupled graph-pipeline stage shapes (S0 process
-  fringe, S1 enumerate neighbors, S2 fetch values, S3 update — paper
-  Fig. 2(a)) compiles to a flat body for the stage's fixed
-  deq→compute→enq skeleton, its queues bound at bind time. The
-  coroutine trampoline (request tuple allocation, ``gen.send``, string
-  dispatch on the request kind, ``io_cost`` calls, queue method
-  dispatch) disappears from the per-token hot path.
-* The one generic ``interp`` shape (:data:`INTERP`) drives any stage's
-  coroutine, with the request loop itself generated: queue requests
-  resolve their queue per request through ``pe._qcache``, and
-  dequeues, enqueues, loads and stores run inline. The fast engine
-  binds it to every stage without a generated body.
-
-One emitter, :func:`_request_loop`, drives every generator: the interp
-shape's coroutine and the per-workload hook sub-generators
-(``vertex_process`` / ``s3_update``) inside the S1 and S3 bodies. The
-rare requests (``try_deq``, ``peek``, ``cycles``) go through the
-generic ``pe._try_perform``.
+Every stage runs one generated step-function, the :data:`INTERP`
+shape: PE._execute's request loop over the stage's own coroutine, with
+the request protocol of ``PE._try_perform`` — and the queue transfer
+bodies of ``Queue.enq`` / ``Queue.deq`` — inlined, and counters, cost
+constants and the L1 bound as locals. Queue requests resolve their
+queue per request through ``pe._qcache``; dequeues, enqueues, loads
+and stores run inline. The rare requests (``try_deq``, ``peek``,
+``cycles``) go through the generic ``pe._try_perform``. The fast
+engine binds it to every stage.
 
 Exactness is structural: every inlined fragment is a literal replica
 of the interpreted code it replaces (the fragment builders below name
@@ -31,13 +17,11 @@ order, probe emission guards, credit bookkeeping, the zero-cost
 livelock guard, and the budget-before-satisfiability check ordering.
 ``PE._execute`` stays the oracle (tests/test_interp_codegen.py).
 
-Suspension is explicit: a skeleton body is a state machine over a
-small program counter plus loop counters kept in ``stage.cg``; a
-blocked or budget-exhausted request saves the pc and sets
-``stage.pending`` to the exact request tuple the interpreter would
-have left there, so schedulers, deadlock reports, and quiescence
-checks observe identical state. The interp shape keeps its state where
-the interpreter does: in the coroutine and ``stage.pending``.
+The step-function keeps its state where the interpreter does: in the
+coroutine and ``stage.pending``. A blocked or budget-exhausted request
+stays in ``stage.pending`` exactly as the interpreter leaves it, so
+schedulers, deadlock reports, and quiescence checks observe identical
+state.
 
 A step-function takes its owners as call arguments,
 ``step(pe, stage, budget)`` for a stage and ``step(drm, budget)`` for a
@@ -47,11 +31,10 @@ a bound method of one. So no owner is reachable from its own
 step-function, and a finished run's objects are freed by reference
 counting alone (docs/performance.md, "Object lifetimes").
 
-Source text is a pure function of the :class:`StageShape` — it never
-embeds queue names, shard ids, or addresses (those bind at
-``make_step`` time) — so one cached artifact serves every shard of
-every workload with the same shape. See :mod:`repro.codegen.runtime`
-for caching and binding.
+Source text is a pure function of the shape — it never embeds queue
+names, shard ids, or addresses (those bind at ``make_step`` time) — so
+one cached artifact serves every stage of every workload. See
+:mod:`repro.codegen.runtime` for caching and binding.
 
 DRMs compile the same way, one step-function per :class:`DrmShape`
 (:func:`drm_source`), replaying the interpreted ``DRM.run`` ladder.
@@ -69,45 +52,27 @@ from repro.cache.content import sha256_text
 # Bump when the emitted code changes in any way that should invalidate
 # cached sources independently of the surrounding package (the on-disk
 # artifact cache is additionally namespaced by code_version()).
-CODEGEN_VERSION = "7"
-
-ROLES = ("s0", "s1", "s2", "s3")
+CODEGEN_VERSION = "8"
 
 
 @dataclass(frozen=True)
 class StageShape:
-    """Everything the generated source depends on — and nothing else.
-
-    ``role`` names one of the four decoupled skeleton stages, or
-    ``interp``: the one generic shape (:data:`INTERP`) that drives any
-    stage's coroutine.
-    ``simple_edges`` is the ``edge_fetch_words == 1`` fast path of
-    S1/S2; the S0 and S3 sources do not read it.
-    """
-
-    role: str
-    simple_edges: bool = True
-
-    def __post_init__(self):
-        if self.role not in ROLES + ("interp",):
-            raise ValueError(
-                f"unknown codegen role {self.role!r}; choose from "
-                f"{ROLES + ('interp',)}")
+    """The one stage shape (:data:`INTERP`): the generic request loop
+    over a stage's coroutine. It has no axes; it gives the stage source
+    the same cache key and label protocol as a :class:`DrmShape`."""
 
     @property
     def name(self) -> str:
         """Label of the generated code (``<repro.codegen:NAME>``)."""
-        return self.role
+        return "interp"
 
     def key(self) -> str:
         """Content-address of the source this shape emits."""
-        return sha256_text("codegen/v" + CODEGEN_VERSION, self.role,
-                           repr(bool(self.simple_edges)))
+        return sha256_text("codegen/v" + CODEGEN_VERSION, self.name)
 
 
-#: The generic step-function shape the fast engine binds to every stage
-#: without a generated body.
-INTERP = StageShape("interp")
+#: The step-function shape the fast engine binds to every stage.
+INTERP = StageShape()
 
 
 #: DRM modes with a generated step-function; strided DRMs keep the
@@ -168,12 +133,20 @@ class DrmShape:
 # fragment mirrors a specific piece of the interpreted hot path
 # (PE._try_perform / PE._execute / StageInstance.io_cost / Queue.enq /
 # Queue.deq) — comments below name the mirrored code so drift is
-# auditable. The stage templates are f-strings, so the text they emit
+# auditable. The stage template is an f-string, so the text it emits
 # contains no ``{``/``}``.
 
 
 def _pad(indent: int) -> str:
     return " " * indent
+
+
+def _header(shape, emitter: str) -> str:
+    return (
+        "# Generated by repro.codegen — specialized step-function.\n"
+        f"# shape: {shape.name} v={CODEGEN_VERSION}\n"
+        f"# Do not edit: regenerate via repro.codegen.emit.{emitter}.\n"
+    )
 
 
 # -- shared primitives -------------------------------------------------------
@@ -316,25 +289,34 @@ def _flush_counters(indent: int, reset: bool = False) -> str:
     return "\n".join(lines)
 
 
-def _save(indent: int, pc, pending: str, extra=()) -> str:
-    """Suspend: persist the pc (+ loop state; ``pc`` None for the
-    interp shape, whose coroutine holds its own), the exact pending
-    request tuple, the counter totals, and the running SIMD I/O
-    totals."""
+def _save(indent: int) -> str:
+    """Suspend: leave the request ``req`` pending (the coroutine holds
+    the rest of the stage's state) and write back the counter totals
+    and the running SIMD I/O totals."""
     pad = _pad(indent)
-    lines = [] if pc is None else [f"{pad}cg[0] = {pc}"]
-    lines += [pad + line for line in extra]
-    lines += [
+    return "\n".join([
         _flush_counters(indent),
-        f"{pad}stage.pending = {pending}",
+        f"{pad}stage.pending = req",
         f"{pad}stage.work_deq = wd",
         f"{pad}stage.work_enq = we",
         f"{pad}return spent",
-    ]
-    return "\n".join(lines)
+    ])
 
 
-def _streak(indent: int, pending: str) -> str:
+def _finish(indent: int) -> str:
+    """Terminal exit: the interpreter's StopIteration epilogue."""
+    pad = _pad(indent)
+    return "\n".join([
+        _flush_counters(indent),
+        f"{pad}stage.pending = None",
+        f"{pad}stage.done = True",
+        f"{pad}stage.work_deq = wd",
+        f"{pad}stage.work_enq = we",
+        f"{pad}return spent",
+    ])
+
+
+def _streak(indent: int) -> str:
     """Mirrors PE._execute's zero-cost livelock guard (counters and
     pending are left exactly as the interpreter leaves them)."""
     pad = _pad(indent)
@@ -342,7 +324,7 @@ def _streak(indent: int, pending: str) -> str:
         f"{pad}zero_streak = 0 if cost > 0 else zero_streak + 1",
         f"{pad}if zero_streak > 1000000:",
         _flush_counters(indent + 4),
-        f"{pad}    stage.pending = {pending}",
+        f"{pad}    stage.pending = req",
         f"{pad}    stage.work_deq = wd",
         f"{pad}    stage.work_enq = we",
         f"{pad}    raise LivelockError(",
@@ -351,25 +333,22 @@ def _streak(indent: int, pending: str) -> str:
     ])
 
 
-def _io_cost(indent: int, side: str, control) -> list:
+def _io_cost(indent: int, side: str, control: str) -> list:
     """StageInstance.io_cost open-coded against the bind-time constants
     ``ctl_inc`` / ``inv_r``: ``side`` is the running total a data token
-    advances (``wd`` dequeue, ``we`` enqueue); ``control`` is True or
-    False when fixed at emission time, else the expression tested at
-    run time."""
+    advances (``wd`` dequeue, ``we`` enqueue); ``control`` is the
+    expression that is true for a control token."""
     pad = _pad(indent)
-    ctl = [f"{pad}top = (wd if wd >= we else we) + ctl_inc",
-           f"{pad}wd = we = top",
-           f"{pad}cost = ctl_inc"]
-    data = [f"{pad}before = wd if wd >= we else we",
-            f"{pad}{side} += inv_r",
-            f"{pad}cost = (wd if wd >= we else we) - before"]
-    if control is True:
-        return ctl
-    if control is False:
-        return data
-    return ([f"{pad}if {control}:"] + ["    " + line for line in ctl]
-            + [f"{pad}else:"] + ["    " + line for line in data])
+    return [
+        f"{pad}if {control}:",
+        f"{pad}    top = (wd if wd >= we else we) + ctl_inc",
+        f"{pad}    wd = we = top",
+        f"{pad}    cost = ctl_inc",
+        f"{pad}else:",
+        f"{pad}    before = wd if wd >= we else we",
+        f"{pad}    {side} += inv_r",
+        f"{pad}    cost = (wd if wd >= we else we) - before",
+    ]
 
 
 def _deq_cost(indent: int) -> list:
@@ -385,75 +364,22 @@ def _deq_cost(indent: int) -> list:
     ]
 
 
-def _enq_cost(indent: int, control) -> list:
+def _enq_cost(indent: int) -> list:
     """PE._try_perform's "enq" accounting after the transfer."""
     pad = _pad(indent)
     return [
-        *_io_cost(indent, "we", control),
+        *_io_cost(indent, "we", "rq_ctl"),
         f"{pad}spent += cost",
         f"{pad}c_iss += cost",
         f"{pad}c_dirty = True",
     ]
 
 
-def _deq_site(indent: int, q: str, pc: int, pending: str, extra=()) -> str:
-    """One blocking dequeue from a bind-time queue, fully inlined.
-
-    The budget/emptiness gate mirrors PE._try_perform's "deq" arm; the
-    token transfer is :func:`_queue_deq`, the accounting
-    :func:`_deq_cost`.
-    """
-    pad = _pad(indent)
-    return "\n".join([
-        f"{pad}if spent >= budget or not {q}_tok:",
-        _save(indent + 4, pc, pending, extra),
-        *_queue_deq(indent, q, f"1 if token.is_control else {q}_words"),
-        *_deq_cost(indent),
-        _streak(indent, pending),
-    ])
-
-
-def _enq_site(indent: int, q: str, value: str, control: bool,
-              pc: int, pending: str, extra=()) -> str:
-    """One blocking enqueue to a bind-time queue, fully inlined.
-
-    The budget check short-circuits before any capacity check so a
-    budget-exhausted stage never emits a spurious credit_stall probe,
-    exactly like the interpreted loop. Uncredited queues (every
-    pipeline-internal edge) gate on Queue.can_enq's uncredited arm
-    verbatim — a pure occupancy comparison; credited queues route
-    through the can_enq method so the credit_stall probe fires
-    identically. The transfer is :func:`_queue_enq`; the io_cost arm
-    (control vs data) is selected at emission time.
-    """
-    pad = _pad(indent)
-    ctl = "True" if control else "False"
-    words = "1" if control else f"{q}_words"
-    return "\n".join([
-        f"{pad}if spent >= budget:",
-        _save(indent + 4, pc, pending, extra),
-        f"{pad}if {q}_credits is None:",
-        f"{pad}    if {q.upper()}_CAP - q_{q}._occupancy_words < {words}:",
-        _save(indent + 8, pc, pending, extra),
-        f"{pad}elif not {q}_can(producer, {ctl}):",
-        _save(indent + 4, pc, pending, extra),
-        *_queue_enq(indent, q, value, ctl, words),
-        *_enq_cost(indent, control),
-        _streak(indent, pending),
-    ])
-
-
-def _request_loop(indent: int, pc, on_stop: list) -> str:
-    """Drive a generator one request at a time: PE._execute's loop with
-    PE._try_perform's arms inlined.
-
-    One emitter serves every generator: the interp shape drives a
-    stage's own coroutine (``pc`` None; ``on_stop`` is the terminal
-    exit), and the s1/s3 bodies drive their hook sub-generators (``pc``
-    the resume point; ``on_stop`` takes the return value into ``p0``
-    and breaks out). Expects ``send`` (the generator's ``send``),
-    ``req`` (the pending request, or None to fetch the next) and
-    ``res`` (what to send).
+def _request_loop(indent: int) -> str:
+    """Drive the stage's coroutine one request at a time: PE._execute's
+    loop with PE._try_perform's arms inlined. Expects ``send`` (the
+    coroutine's ``send``), ``req`` (the pending request, or None to
+    fetch the next) and ``res`` (what to send).
 
     Queue requests resolve their queue per request through
     ``pe._qcache`` and inline the Queue.deq / Queue.enq transfers;
@@ -464,16 +390,15 @@ def _request_loop(indent: int, pc, on_stop: list) -> str:
     """
     pad = _pad(indent)
     p8, p12 = pad + " " * 4, pad + " " * 8
-    stop = [f"{p12}    {line}" for line in on_stop]
     return "\n".join([
         f"{pad}while True:",
         f"{pad}    if req is None:",
         f"{pad}        try:",
         f"{pad}            req = send(res)",
-        f"{pad}        except StopIteration as stop:",
-        *stop,
+        f"{pad}        except StopIteration:",
+        _finish(indent + 12),
         f"{pad}    if spent >= budget:",
-        _save(indent + 8, pc, "req"),
+        _save(indent + 8),
         f"{pad}    kind = req[0]",
         f'{pad}    if kind == "deq":',
         f"{p12}q_rq = qget(req[1])",
@@ -481,7 +406,7 @@ def _request_loop(indent: int, pc, on_stop: list) -> str:
         f"{p12}    q_rq = pe._queue(req[1])",
         f"{p12}rq_tok = q_rq._tokens",
         f"{p12}if not rq_tok:",
-        _save(indent + 12, pc, "req"),
+        _save(indent + 12),
         f"{p12}rq_credits = q_rq._credits",
         *_queue_deq(indent + 8, "rq",
                     "1 if token.is_control else q_rq.entry_words",
@@ -497,13 +422,13 @@ def _request_loop(indent: int, pc, on_stop: list) -> str:
         f"{p12}words = 1 if rq_ctl else q_rq.entry_words",
         f"{p12}if rq_credits is None:",
         f"{p12}    if q_rq.capacity_words - q_rq._occupancy_words < words:",
-        _save(indent + 16, pc, "req"),
+        _save(indent + 16),
         f"{p12}elif not q_rq.can_enq(producer, rq_ctl):",
-        _save(indent + 12, pc, "req"),
+        _save(indent + 12),
         f"{p12}rq_tok = q_rq._tokens",
         *_queue_enq(indent + 8, "rq", "rq_value", "rq_ctl", "words",
                     name="q_rq.name"),
-        *_enq_cost(indent + 8, "rq_ctl"),
+        *_enq_cost(indent + 8),
         f"{p12}res = None",
         # Misses take the full Cache.access; a hit's latency equals
         # l1_lat, so its stall is zero.
@@ -549,60 +474,23 @@ def _request_loop(indent: int, pc, on_stop: list) -> str:
         f'{p12}c_tok = counters.get("tokens", 0.0)',
         f'{p12}c_fab = counters.get("fabric_ops", 0.0)',
         f"{p12}if outcome is None:",
-        _save(indent + 12, pc, "req"),
+        _save(indent + 12),
         f"{p12}res, cost = outcome",
         f"{p12}spent += cost",
-        _streak(indent + 4, "req"),
+        _streak(indent + 4),
         f"{p8}req = None",
     ])
 
 
-def _finish(indent: int) -> str:
-    """Terminal exit: the interpreter's StopIteration epilogue."""
-    pad = _pad(indent)
-    return "\n".join([
-        _flush_counters(indent),
-        f"{pad}stage.pending = None",
-        f"{pad}stage.done = True",
-        f"{pad}stage.work_deq = wd",
-        f"{pad}stage.work_enq = we",
-        f"{pad}return spent",
-    ])
+# The step-function's bind-time locals: the stage's cost constants, the
+# PE's counters and queue cache, and the L1. The PE and the stage
+# themselves arrive as arguments of each call.
+_INTERP_PREAMBLE = '''\
+from repro.core.pe import StageLivelockError as LivelockError
+from repro.queues.queue import Token
 
 
-def _pe_queue(key: str) -> str:
-    """The expression a stage step-function resolves binding ``key``
-    with (the queue names live in the bindings, not in the source)."""
-    return f'pe._queue(b["{key}"])'
-
-
-def _bind_in_queue(q: str, queue: str) -> str:
-    """Dequeue-side bindings for queue prefix ``q``; ``queue`` is the
-    expression that yields the queue at bind time."""
-    return "\n".join([
-        f"    q_{q} = {queue}",
-        f"    {q}_tok = q_{q}._tokens",
-        f"    {q}_words = q_{q}.entry_words",
-        f"    {q}_credits = q_{q}._credits",
-        f"    {q.upper()}_NAME = q_{q}.name",
-    ])
-
-
-def _bind_out_queue(q: str, queue: str) -> str:
-    """Enqueue-side bindings: the dequeue side's plus capacity and
-    can_enq."""
-    return "\n".join([
-        _bind_in_queue(q, queue),
-        f"    {q}_can = q_{q}.can_enq",
-        f"    {q.upper()}_CAP = q_{q}.capacity_words",
-    ])
-
-
-# Bind-time locals every stage step-function shares: the stage's cost
-# constants, the PE's counters and queue cache, and the L1 (the interp
-# shape's make_step binds the same set without hook bindings). The PE
-# and the stage themselves arrive as arguments of each call.
-_STAGE_LOCALS = '''\
+def make_step(pe, stage):
     ctx = stage.ctx
     producer = ctx.producer_key
     counters = pe.counters
@@ -626,352 +514,16 @@ _STAGE_LOCALS = '''\
     stage_name = stage.spec.name
 '''
 
-_PREAMBLE = '''\
-from repro.queues.queue import Token
 
+def stage_source(shape: StageShape) -> str:
+    """Emit the step-function source for ``shape`` (:data:`INTERP`):
+    PE._execute over the stage's own coroutine, every request through
+    :func:`_request_loop`.
 
-def make_step(pe, stage, b):
-    workload = b["workload"]
-    shard = b["shard"]
-    STOP_VALUE = b["STOP_VALUE"]
-    LivelockError = b["LivelockError"]
-''' + _STAGE_LOCALS
-
-# A hook sub-generator's return value is the vertex payload p0 (s1), or
-# ignored (s3).
-_HOOK_STOP = ["p0 = stop.value", "break"]
-
-
-def _header(shape: StageShape) -> str:
-    return (
-        "# Generated by repro.codegen — specialized step-function.\n"
-        f"# shape: role={shape.role} simple_edges={shape.simple_edges}"
-        f" v={CODEGEN_VERSION}\n"
-        "# Do not edit: regenerate via repro.codegen.emit.stage_source.\n"
-    )
-
-
-# -- per-role emitters -------------------------------------------------------
-
-
-def _emit_s0(shape: StageShape) -> str:
-    enq_scan = '("enq", FR_NAME, scan, False)'
-    enq_off = '("enq", OUT_NAME, value, False)'
-    body = f'''\
-{_bind_in_queue("in", _pe_queue("q_in"))}
-{_bind_out_queue("fr", _pe_queue("q_fr_in"))}
-{_bind_in_queue("fro", _pe_queue("q_fr_out"))}
-{_bind_out_queue("out", _pe_queue("q_out"))}
-    END_ITER = b["END_ITER"]
-    offsets_ref = workload.offsets_ref
-    offsets_addr = offsets_ref.addr
-    off_base = offsets_ref._base
-    off_eb = offsets_ref.elem_bytes
-    off_n = offsets_ref._n
-    vertex_fetch_addrs = workload.vertex_fetch_addrs
-    scan_range = workload.fringe_scan_range
-    REQ_DEQ_IN = ("deq", IN_NAME)
-    REQ_DEQ_FR = ("deq", FRO_NAME)
-    REQ_ENQ_STOP = ("enq", OUT_NAME, STOP_VALUE, True)
-    REQ_ENQ_END = ("enq", OUT_NAME, END_ITER, True)
-
-    def step(pe, stage, budget):
-        spent = 0.0
-        zero_streak = 0
-        if not stage.started:
-            stage.started = True
-            stage.cg = [0, 0]
-            stage.pending = REQ_DEQ_IN
-        cg = stage.cg
-        pc = cg[0]
-{_carry(8)}
-        while True:
-            if pc == 0:
-{_deq_site(16, "in", 0, "REQ_DEQ_IN")}
-                assert token.is_control
-                if token.value == STOP_VALUE:
-                    pc = 1
-                    continue
-                _, count, half = token.value
-                if count:
-                    scan = scan_range(shard, half, count)
-                    cg[1] = count
-{_enq_site(20, "fr", "scan", False, 2, enq_scan)}
-                    pc = 3
-                else:
-                    pc = 5
-                continue
-            if pc == 1:
-{_enq_site(16, "out", "STOP_VALUE", True, 1, "REQ_ENQ_STOP")}
-{_finish(16)}
-            if pc == 2:
-                scan = stage.pending[2]
-{_enq_site(16, "fr", "scan", False, 2, enq_scan)}
-                pc = 3
-                continue
-            if pc == 3:
-                i = cg[1]
-                while i:
-{_deq_site(20, "fro", 3, "REQ_DEQ_FR", ("cg[1] = i",))}
-                    v = int(token.value)
-                    value = ((off_base + v * off_eb)
-                             if 0 <= v < off_n else offsets_addr(v),
-                             (off_base + (v + 1) * off_eb)
-                             if v + 1 < off_n else offsets_addr(v + 1),
-                             *vertex_fetch_addrs(v), v)
-                    i -= 1
-{_enq_site(20, "out", "value", False, 4, enq_off, ("cg[1] = i",))}
-                pc = 5
-                continue
-            if pc == 4:
-                value = stage.pending[2]
-{_enq_site(16, "out", "value", False, 4, enq_off)}
-                pc = 3
-                continue
-            if pc == 5:
-{_enq_site(16, "out", "END_ITER", True, 5, "REQ_ENQ_END")}
-                pc = 0
-                continue
-
-    return step
-'''
-    return _header(shape) + "\n" + _PREAMBLE + body
-
-
-def _emit_s1(shape: StageShape) -> str:
-    enq_ctl = '("enq", OUT_NAME, val, True)'
-    enq_edge = '("enq", OUT_NAME, value, False)'
-    # ArrayRef.addr inlined (bounds check included via the method
-    # fallback, which raises the identical IndexError).
-    ngh_addr = ("(ngh_base + e * ngh_eb) if 0 <= e < ngh_n "
-                "else neighbors_addr(e)")
-    if shape.simple_edges:
-        edge_value = f"value = ({ngh_addr}, p_edge)"
-    else:
-        edge_value = (f"value = ({ngh_addr}, *extra_addrs(e), "
-                      "p_edge)")
-    # The vertex-side hook runs as a sub-generator driven by the
-    # request loop (pc 2).
-    body = f'''\
-{_bind_in_queue("in", _pe_queue("q_in"))}
-{_bind_out_queue("out", _pe_queue("q_out"))}
-    neighbors_ref = workload.neighbors_ref
-    neighbors_addr = neighbors_ref.addr
-    ngh_base = neighbors_ref._base
-    ngh_eb = neighbors_ref.elem_bytes
-    ngh_n = neighbors_ref._n
-    vertex_process = workload.vertex_process
-    s1_edge_payload = workload.s1_edge_payload
-    extra_addrs = workload.edge_extra_addrs
-    REQ_DEQ_IN = ("deq", IN_NAME)
-
-    def step(pe, stage, budget):
-        spent = 0.0
-        zero_streak = 0
-        if not stage.started:
-            stage.started = True
-            stage.cg = [0, None, 0, 0, 0, 0, None]
-            stage.pending = REQ_DEQ_IN
-        cg = stage.cg
-        pc = cg[0]
-{_carry(8)}
-        res = None
-        req = stage.pending if pc == 2 else None
-        while True:
-            if pc == 0:
-{_deq_site(16, "in", 0, "REQ_DEQ_IN")}
-                if token.is_control:
-                    val = token.value
-{_enq_site(20, "out", "val", True, 1, enq_ctl)}
-                    if val == STOP_VALUE:
-{_finish(24)}
-                    continue
-                start = int(token.value[0])
-                end = int(token.value[1])
-                v = int(token.value[-1])
-                gen = vertex_process(ctx, shard, v, start, end)
-                cg[1] = gen
-                cg[2] = v
-                cg[3] = start
-                cg[4] = end
-                req = res = None
-                pc = 2
-                continue
-            if pc == 1:
-                val = stage.pending[2]
-{_enq_site(16, "out", "val", True, 1, enq_ctl)}
-                if val == STOP_VALUE:
-{_finish(20)}
-                pc = 0
-                continue
-            if pc == 2:
-                send = cg[1].send
-{_request_loop(16, 2, _HOOK_STOP)}
-                cg[1] = None
-                v = cg[2]
-                start = cg[3]
-                end = cg[4]
-                if p0 is None:
-                    pc = 0
-                    continue
-                p_edge = s1_edge_payload(v, start, end, p0)
-                cg[4] = end
-                cg[5] = start
-                cg[6] = p_edge
-                pc = 3
-                continue
-            if pc == 3:
-                e = cg[5]
-                end = cg[4]
-                p_edge = cg[6]
-                while e < end:
-                    {edge_value}
-{_enq_site(20, "out", "value", False, 3, enq_edge, ("cg[5] = e",))}
-                    e += 1
-                pc = 0
-                continue
-
-    return step
-'''
-    return _header(shape) + "\n" + _PREAMBLE + body
-
-
-def _emit_s2(shape: StageShape) -> str:
-    enq_ctl = '("enq", OUT_NAME, val, True)'
-    enq_val = '("enq", OUT_NAME, value, False)'
-    if shape.simple_edges:
-        payload = "\n".join([
-            "                ngh, p_edge = token.value",
-            "                ngh = int(ngh)",
-            "                value = (value_addr(ngh), ngh, p_edge)",
-        ])
-    else:
-        payload = "\n".join([
-            "                parts = token.value",
-            "                ngh = int(parts[0])",
-            "                value = (value_addr(ngh), ngh,",
-            "                         s2_payload(ngh, parts[1:-1], "
-            "parts[-1]))",
-        ])
-    body = f'''\
-{_bind_in_queue("in", _pe_queue("q_in"))}
-{_bind_out_queue("out", _pe_queue("q_out"))}
-    value_addr = workload.value_addr
-    s2_payload = workload.s2_payload
-    REQ_DEQ_IN = ("deq", IN_NAME)
-
-    def step(pe, stage, budget):
-        spent = 0.0
-        zero_streak = 0
-        if not stage.started:
-            stage.started = True
-            stage.cg = [0]
-            stage.pending = REQ_DEQ_IN
-        cg = stage.cg
-        pc = cg[0]
-{_carry(8)}
-        while True:
-            if pc == 0:
-{_deq_site(16, "in", 0, "REQ_DEQ_IN")}
-                if token.is_control:
-                    val = token.value
-{_enq_site(20, "out", "val", True, 1, enq_ctl)}
-                    if val == STOP_VALUE:
-{_finish(24)}
-                    continue
-{payload}
-{_enq_site(16, "out", "value", False, 2, enq_val)}
-                continue
-            if pc == 1:
-                val = stage.pending[2]
-{_enq_site(16, "out", "val", True, 1, enq_ctl)}
-                if val == STOP_VALUE:
-{_finish(20)}
-                pc = 0
-                continue
-            if pc == 2:
-                value = stage.pending[2]
-{_enq_site(16, "out", "value", False, 2, enq_val)}
-                pc = 0
-                continue
-
-    return step
-'''
-    return _header(shape) + "\n" + _PREAMBLE + body
-
-
-def _emit_s3(shape: StageShape) -> str:
-    enq_done = '("enq", BAR_NAME, BARRIER_DONE, True)'
-    body = f'''\
-{_bind_in_queue("in", _pe_queue("q_in"))}
-{_bind_out_queue("bar", _pe_queue("q_barrier"))}
-    n_shards = ctx.n_shards
-    s3_update = workload.s3_update
-    BARRIER_DONE = ("done", shard)
-    REQ_DEQ_IN = ("deq", IN_NAME)
-
-    def step(pe, stage, budget):
-        spent = 0.0
-        zero_streak = 0
-        if not stage.started:
-            stage.started = True
-            stage.cg = [0, None, n_shards, n_shards]
-            stage.pending = REQ_DEQ_IN
-        cg = stage.cg
-        pc = cg[0]
-{_carry(8)}
-        res = None
-        req = stage.pending if pc == 2 else None
-        while True:
-            if pc == 0:
-{_deq_site(16, "in", 0, "REQ_DEQ_IN")}
-                if token.is_control:
-                    if token.value == STOP_VALUE:
-                        cg[3] -= 1
-                        if cg[3] == 0:
-{_finish(28)}
-                    else:
-                        cg[2] -= 1
-                        if cg[2] == 0:
-                            cg[2] = n_shards
-                            pc = 1
-                    continue
-                value, ngh, p_edge = token.value
-                gen = s3_update(ctx, shard, int(ngh), value, p_edge)
-                cg[1] = gen
-                req = res = None
-                pc = 2
-                continue
-            if pc == 1:
-{_enq_site(16, "bar", "BARRIER_DONE", True, 1, enq_done)}
-                pc = 0
-                continue
-            if pc == 2:
-                send = cg[1].send
-{_request_loop(16, 2, _HOOK_STOP)}
-                cg[1] = None
-                pc = 0
-                continue
-
-    return step
-'''
-    return _header(shape) + "\n" + _PREAMBLE + body
-
-
-_INTERP_PREAMBLE = '''\
-from repro.core.pe import StageLivelockError as LivelockError
-from repro.queues.queue import Token
-
-
-def make_step(pe, stage):
-''' + _STAGE_LOCALS
-
-
-def _emit_interp(shape: StageShape) -> str:
-    """The generic shape: PE._execute over the stage's own coroutine,
-    every request through :func:`_request_loop`. Its state between
-    calls is the coroutine plus ``stage.pending``, as for the
-    interpreter."""
+    Pure and deterministic: equal shapes produce byte-identical text.
+    Callers wanting caching go through
+    :func:`repro.codegen.runtime.source_for` instead.
+    """
     body = f'''\
 
     def step(pe, stage, budget):
@@ -985,25 +537,12 @@ def _emit_interp(shape: StageShape) -> str:
         req = stage.pending
         res = None
 {_carry(8)}
-{_request_loop(8, None, _finish(0).splitlines())}
+{_request_loop(8)}
 
     return step
 '''
-    return _header(shape) + "\n" + _INTERP_PREAMBLE + body
-
-
-_EMITTERS = {"s0": _emit_s0, "s1": _emit_s1, "s2": _emit_s2, "s3": _emit_s3,
-             "interp": _emit_interp}
-
-
-def stage_source(shape: StageShape) -> str:
-    """Emit the specialized step-function source for ``shape``.
-
-    Pure and deterministic: equal shapes produce byte-identical text.
-    Callers wanting caching go through
-    :func:`repro.codegen.runtime.source_for` instead.
-    """
-    return _EMITTERS[shape.role](shape)
+    return (_header(shape, "stage_source") + "\n" + _INTERP_PREAMBLE
+            + body)
 
 
 # -- DRM step-functions ------------------------------------------------------
@@ -1014,6 +553,26 @@ def stage_source(shape: StageShape) -> str:
 # call), the same probe guards, the same event order. Loads, miss stall
 # and L1 hits ride in locals flushed at every exit; control tokens take
 # the ladder's _step_control.
+
+
+def _bind_in_queue(q: str, queue: str) -> str:
+    """Dequeue-side bindings for queue prefix ``q``; ``queue`` is the
+    expression that yields the queue at bind time."""
+    return "\n".join([
+        f"    q_{q} = {queue}",
+        f"    {q}_tok = q_{q}._tokens",
+        f"    {q}_words = q_{q}.entry_words",
+        f"    {q}_credits = q_{q}._credits",
+        f"    {q.upper()}_NAME = q_{q}.name",
+    ])
+
+
+def _bind_out_queue(q: str, queue: str) -> str:
+    """Enqueue-side bindings: the dequeue side's plus capacity."""
+    return "\n".join([
+        _bind_in_queue(q, queue),
+        f"    {q.upper()}_CAP = q_{q}.capacity_words",
+    ])
 
 
 _DRM_PREAMBLE = '''\
@@ -1036,14 +595,6 @@ def make_step(drm):
     DRM_NAME = drm.spec.name
     pe_id = drm.pe_id
 '''
-
-
-def _drm_header(shape: DrmShape) -> str:
-    return (
-        "# Generated by repro.codegen — specialized DRM step-function.\n"
-        f"# shape: {shape.name} v={CODEGEN_VERSION}\n"
-        "# Do not edit: regenerate via repro.codegen.emit.drm_source.\n"
-    )
 
 
 def _drm_blocked(indent: int, queue: str) -> list:
@@ -1185,7 +736,7 @@ def _emit_drm_deref(shape: DrmShape) -> str:
         "    return step",
         "",
     ])
-    return _drm_header(shape) + "\n" + _DRM_PREAMBLE + body
+    return _header(shape, "drm_source") + "\n" + _DRM_PREAMBLE + body
 
 
 def _emit_drm_scan(shape: DrmShape) -> str:
@@ -1241,7 +792,7 @@ def _emit_drm_scan(shape: DrmShape) -> str:
         "    return step",
         "",
     ])
-    return _drm_header(shape) + "\n" + _DRM_PREAMBLE + body
+    return _header(shape, "drm_source") + "\n" + _DRM_PREAMBLE + body
 
 
 def drm_source(shape: DrmShape) -> str:

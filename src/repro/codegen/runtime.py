@@ -9,16 +9,15 @@ Three layers keep warm paths free of source generation:
 2. a process-local map caches the executed module's ``make_step``
    factory per shape key, so repeat binds skip parsing and ``exec``;
 3. binding itself (one ``make_step`` call) is per stage-instance or
-   DRM and cheap — it resolves queues, caches and the workload's hook
-   methods into closure locals. The PE, stage or DRM is an argument of
-   every call (``step(pe, stage, budget)``, ``step(drm, budget)``), so
-   no step-function holds its owner and a finished System is freed by
+   DRM and cheap — it resolves queues, caches and constants into
+   closure locals. The PE, stage or DRM is an argument of every call
+   (``step(pe, stage, budget)``, ``step(drm, budget)``), so no
+   step-function holds its owner and a finished System is freed by
    reference counting.
 
-Stages with a codegen descriptor bind their generated body under
-``System.run(codegen=True)``; on every ``engine="fast"`` run, every
-other stage binds the generic ``interp`` step-function and every DRM
-its shape's. ``emitted_count()`` exposes how many times source was
+On every ``engine="fast"`` run, every stage binds the generic
+:data:`~repro.codegen.emit.INTERP` step-function and every DRM its
+shape's. ``emitted_count()`` exposes how many times source was
 actually generated (stage and DRM shapes alike), so tests can prove a
 warm run performs zero generation.
 """
@@ -68,11 +67,11 @@ def source_for(shape, cache: Optional[ArtifactCache] = None) -> str:
     return source
 
 
-def _factory_for(shape, cache: Optional[ArtifactCache] = None) -> Callable:
+def _factory_for(shape) -> Callable:
     key = shape.key()
     factory = _FACTORY.get(key)
     if factory is None:
-        source = source_for(shape, cache)
+        source = source_for(shape)
         code = compile(source, f"<repro.codegen:{shape.name}>", "exec")
         namespace: dict = {}
         exec(code, namespace)
@@ -81,54 +80,22 @@ def _factory_for(shape, cache: Optional[ArtifactCache] = None) -> Callable:
     return factory
 
 
-def bind_stage(pe, stage, cache: Optional[ArtifactCache] = None) -> bool:
-    """Attach a specialized step-function to ``stage`` on ``pe``.
+def bind_system(system, fast: bool) -> None:
+    """Bind step-functions across all PEs.
 
-    Returns False (leaving the stage to its coroutine) when the stage
-    carries no codegen descriptor or when the descriptor's queue
-    contract disagrees with the stage's DFG — a defensive fallback
-    rather than a hard error.
+    With ``fast`` (the fast engine), every stage gets the generic
+    :data:`~repro.codegen.emit.INTERP` step-function over its coroutine
+    and every DRM with a shape its generated step-function; without it
+    they keep ``PE._execute`` and ``DRM.run``, the interpreted oracles
+    the naive engine runs.
     """
-    cg = getattr(stage.spec, "codegen", None)
-    if cg is None:
-        return False
-    shape, bindings = cg
-    consumed, produced = stage.spec.dfg.queue_signature()
-    if (bindings.get("consumed") != consumed
-            or bindings.get("produced") != produced):
-        return False
-    stage.step_fn = _factory_for(shape, cache)(pe, stage, bindings)
-    return True
-
-
-def bind_system(system, codegen: bool = True, fast: bool = False,
-                cache: Optional[ArtifactCache] = None):
-    """Bind step-functions across all PEs; returns (bound, fallback).
-
-    With ``codegen``, each stage whose descriptor binds gets its
-    generated body (``bound``); every other stage is a ``fallback``.
-    With ``fast`` (the fast engine), each fallback stage gets the
-    generic :data:`~repro.codegen.emit.INTERP` step-function over its
-    coroutine, and every DRM with a shape its generated step-function;
-    without it they keep ``PE._execute`` and ``DRM.run``, the
-    interpreted oracles the naive engine runs.
-    """
-    if cache is None:
-        cache = get_artifact_cache()
-    bound = fallback = 0
+    interp = _factory_for(INTERP) if fast else None
     for pe in system.pes:
         for stage in pe.stages:
-            if codegen and bind_stage(pe, stage, cache):
-                bound += 1
-                continue
-            fallback += 1
-            stage.step_fn = (_factory_for(INTERP, cache)(pe, stage)
-                             if fast else None)
+            stage.step_fn = None if interp is None else interp(pe, stage)
         for drm in pe.drms:
             shape = drm_shape(drm) if fast else None
-            drm.step_fn = (None if shape is None
-                           else _factory_for(shape, cache)(drm))
-    return bound, fallback
+            drm.step_fn = None if shape is None else _factory_for(shape)(drm)
 
 
 def drm_shape(drm) -> Optional[DrmShape]:

@@ -51,9 +51,6 @@ class StageSpec:
     dfg: DataflowGraph
     semantics: Callable[["StageContext"], Generator]
     max_replication: Optional[int] = None
-    # Optional (StageShape, bindings) descriptor consumed by
-    # repro.codegen; None means the stage always interprets.
-    codegen: Optional[Any] = None
 
 
 class StageContext:
@@ -115,8 +112,7 @@ class StageInstance:
     ctx: StageContext
     mapping: Any  # repro.cgra.mapper.Mapping
     config_addr: int  # where this stage's bitstream lives in memory
-    # The stage coroutine, built on the first advance(): a stage that a
-    # compiled step-function drives never builds one.
+    # The stage coroutine, built on the first advance().
     gen: Optional[Generator] = field(default=None, repr=False)
     pending: Optional[tuple] = None
     started: bool = False
@@ -128,15 +124,11 @@ class StageInstance:
     # queue-I/O and explicit compute costs. The 1.0 default takes the
     # unscaled code paths so ordinary runs stay bit-identical.
     speed: float = 1.0
-    # Codegen attachment (repro.codegen.runtime.bind_system): a compiled
-    # step-function replacing PE._execute, called as
-    # step_fn(pe, stage, budget) — a body generated for the stage's
-    # shape, or the generic interp one over the coroutine — plus a
-    # generated body's saved control state (program counter, loop
-    # counters, live sub-generator).
+    # The generated interp step-function that replaces PE._execute on
+    # the fast engine (repro.codegen.runtime.bind_system), called as
+    # step_fn(pe, stage, budget); None on the naive engine.
     step_fn: Optional[Callable[[Any, "StageInstance", float], float]] = (
         field(default=None, repr=False))
-    cg: Optional[list] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:

@@ -23,7 +23,6 @@ from repro.core.drm import DRM
 from repro.core.pe import ProcessingElement
 from repro.core.program import Program
 from repro.core.stage import StageContext, StageInstance
-from repro.env import env_flag
 from repro.memory.cache import build_hierarchy
 from repro.queues.queue import Queue
 from repro.queues.queue_memory import QueueMemory
@@ -375,15 +374,11 @@ class System:
         cycle and interprets: ``PE._execute`` over each stage
         coroutine, ``DRM.run`` for each DRM.
 
-        ``codegen`` compiles each stage that has a codegen descriptor
-        to a body specialized for its shape; on the fast engine every
-        other stage runs the one generic ``interp`` step-function over
-        its coroutine. ``None`` defers to the ``REPRO_CODEGEN``
-        environment flag. ``engine_stats`` then records the stages
-        bound (``codegen_stages``) and left to their coroutine
-        (``codegen_fallback``).
+        ``codegen`` is accepted and selects nothing: every fast-engine
+        stage already runs the generated request loop. It goes once the
+        repository benchmark (perfbench/) stops passing it.
 
-        All paths produce identical cycle counts, counters, CPI
+        Both engines produce identical cycle counts, counters, CPI
         stacks, sampled time series, and results
         (tests/test_engine_equivalence.py, tests/test_engine_fuzz.py,
         tests/test_drm_codegen.py, tests/test_interp_codegen.py).
@@ -396,16 +391,10 @@ class System:
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {ENGINES}")
-        if codegen is None:
-            codegen = env_flag("REPRO_CODEGEN")
         from repro.codegen.runtime import bind_system
         fast = engine == "fast"
-        bound, fallback = bind_system(self, codegen, fast)
+        bind_system(self, fast)
         self._run_stepped(max_cycles, fast)
-        if codegen:
-            # Recorded after the run: the engine resets engine_stats.
-            self.engine_stats["codegen_stages"] = bound
-            self.engine_stats["codegen_fallback"] = fallback
         return self._build_result(engine)
 
     def _build_result(self, engine: str) -> SimulationResult:

@@ -1,19 +1,15 @@
 """Validated environment-variable knobs.
 
-Every ``REPRO_*`` environment knob in the repository funnels through
-these helpers so a typo'd value fails fast with an error naming the
-knob and its allowed values, instead of each call site hand-rolling
-(and subtly diverging on) its own parse-and-check.
+The benchmarks' ``REPRO_BENCH_*`` knobs (benchmarks/bench_common.py)
+funnel through these helpers so a typo'd value fails fast with an
+error naming the knob and its allowed values, instead of each call
+site hand-rolling (and subtly diverging on) its own parse-and-check.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Iterable, Optional
-
-# Spellings accepted by boolean knobs (e.g. REPRO_CODEGEN=1).
-_FLAG_TRUE = ("1", "true", "yes", "on")
-_FLAG_FALSE = ("0", "false", "no", "off")
 
 
 class EnvKnobError(ValueError):
@@ -30,21 +26,6 @@ def env_choice(name: str, default: str, choices: Iterable[str]) -> str:
         raise EnvKnobError(
             f"{name}={raw!r} is not a valid choice; choose from {choices}")
     return raw
-
-
-def env_flag(name: str, default: bool = False) -> bool:
-    """Read a boolean knob; accepts 1/0, true/false, yes/no, on/off."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in _FLAG_TRUE:
-        return True
-    if lowered in _FLAG_FALSE:
-        return False
-    raise EnvKnobError(
-        f"{name}={raw!r} is not a valid flag; choose from "
-        f"{_FLAG_TRUE + _FLAG_FALSE}")
 
 
 def env_float(name: str, default: float,

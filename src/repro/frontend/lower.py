@@ -469,35 +469,6 @@ class CompiledPipeline:
             "feed_forward": True,
         }
 
-    def emit_python(self, stage: Optional[int] = None) -> list:
-        """Generated step-function source per stage (``--emit-python``).
-
-        Returns one record per stage — index, stage name, shape role,
-        the shape's content key, and the specialized Python source the
-        codegen backend would bind at ``run(codegen=True)``. Source is
-        fetched through :func:`repro.codegen.runtime.source_for`, so the
-        dump shares (and warms) the same artifact-cache entries the
-        simulator uses. ``stage`` narrows the dump to one stage index.
-        """
-        from repro.codegen.runtime import source_for
-
-        workload = self.workload(_demo_graph(), 1)
-        specs = workload._shard_stage_specs(0)
-        records = []
-        for index, key in enumerate(("s0", "s1", "s2", "s3")):
-            if stage is not None and index != stage:
-                continue
-            spec = specs[key]
-            shape, _bindings = spec.codegen
-            records.append({
-                "index": index,
-                "name": spec.name,
-                "role": shape.role,
-                "key": shape.key(),
-                "source": source_for(shape),
-            })
-        return records
-
 
 def compile_kernel(kernel: GraphKernel) -> CompiledPipeline:
     """Split, lint, and prepare ``kernel`` for lowering."""

@@ -211,15 +211,13 @@ def build_cgra_program(prepared: PreparedInput, config: SystemConfig,
 def simulate_cgra(program, config: SystemConfig, mode: str,
                   engine: str = "fast", max_cycles: float = 2e9,
                   telemetry=None, sanitize: bool = False,
-                  profile: bool = False, codegen: Optional[bool] = None):
+                  profile: bool = False):
     """Simulate phase: instantiate and run one compiled program.
 
     Returns ``(raw, run_profile)`` where ``raw`` is the
     :class:`~repro.core.system.SimulationResult` and ``run_profile``
     the wait-for profile (or ``None``). Deterministic given its
-    inputs; the verify/manifest phases build on the result.
-    ``codegen`` selects the specialized step-function path
-    (:mod:`repro.codegen`); ``None`` defers to ``REPRO_CODEGEN``."""
+    inputs; the verify/manifest phases build on the result."""
     from repro.core import System
     simulator = System(config, program, mode=mode, telemetry=telemetry)
     sanitizer = None
@@ -232,8 +230,7 @@ def simulate_cgra(program, config: SystemConfig, mode: str,
         from repro.analysis import SimulationSanitizer
         sanitizer = SimulationSanitizer().arm(simulator)
     try:
-        raw = simulator.run(max_cycles=max_cycles, engine=engine,
-                            codegen=codegen)
+        raw = simulator.run(max_cycles=max_cycles, engine=engine)
     finally:
         if sanitizer is not None:
             sanitizer.disarm()
@@ -342,7 +339,9 @@ def run_experiment(app: str, input_code: str, system: str,
     ``profile`` arms the wait-for profiler (:mod:`repro.profiling`) on
     CGRA runs — blame matrix, critical path, what-if inputs — exposed
     as ``result.profile`` and, with ``manifest_dir``, summarized into
-    the run manifest.
+    the run manifest. ``codegen`` is accepted and selects nothing (see
+    :meth:`repro.core.System.run`); it goes once the repository
+    benchmark (perfbench/) stops passing it.
     """
     from repro.core import ENGINES
     if system not in SYSTEMS:
@@ -375,7 +374,7 @@ def run_experiment(app: str, input_code: str, system: str,
         raw, run_profile = simulate_cgra(
             program, sys_config, system, engine=engine,
             max_cycles=max_cycles, telemetry=telemetry,
-            sanitize=sanitize, profile=profile, codegen=codegen)
+            sanitize=sanitize, profile=profile)
         energy = energy_model.cgra_energy(raw).as_dict()
         result = raw.result
     wall_time_s = time.perf_counter() - t_start

@@ -51,9 +51,6 @@ class SweepPoint:
     max_cycles: float = 2e9
     check: bool = True
     profile: bool = False
-    #: None defers to the REPRO_CODEGEN environment knob; True/False
-    #: pins compiled step-functions on or off for this point.
-    codegen: Optional[bool] = None
 
     @property
     def label(self) -> str:
@@ -78,8 +75,7 @@ def run_point(point: SweepPoint) -> ExperimentResult:
                           prepared=prepared, variant=point.variant,
                           config=point.config, scale=scale, seed=point.seed,
                           max_cycles=point.max_cycles, check=point.check,
-                          engine=point.engine, profile=point.profile,
-                          codegen=point.codegen)
+                          engine=point.engine, profile=point.profile)
 
 
 def merge_sweep_manifests(manifests: Sequence[dict]) -> dict:

@@ -85,32 +85,6 @@ class DataflowGraph:
     def output_queues(self) -> list[str]:
         return [n.op.attr for n in self.nodes if n.kind is OpKind.ENQ]
 
-    def iter_queue_ops(self) -> Iterable[tuple[str, str]]:
-        """Walk queue edges in node order as ``(kind, queue_name)`` pairs.
-
-        ``kind`` is ``"deq"`` or ``"enq"``. This is the walker backends
-        use to recover a stage's I/O protocol from its graph without
-        caring about the datapath in between (``repro.codegen`` checks
-        generated step-functions against it).
-        """
-        for node in self.nodes:
-            if node.kind is OpKind.DEQ:
-                yield "deq", node.op.attr
-            elif node.kind is OpKind.ENQ:
-                yield "enq", node.op.attr
-
-    def queue_signature(self) -> tuple[frozenset, frozenset]:
-        """The stage's I/O contract: ``(consumed names, produced names)``.
-
-        Derived from :meth:`iter_queue_ops`; two stages with the same
-        signature are interchangeable at the queue-wiring level even if
-        their datapaths differ.
-        """
-        consumed, produced = set(), set()
-        for kind, name in self.iter_queue_ops():
-            (consumed if kind == "deq" else produced).add(name)
-        return frozenset(consumed), frozenset(produced)
-
     def iter_dependence_edges(self) -> Iterable[tuple]:
         """Walk every dependence edge as ``(producer, consumer, kind)``.
 

@@ -39,9 +39,8 @@ def canonical_json(document) -> str:
     """The one canonical text form of a JSON document.
 
     Sorted keys, two-space indent, trailing newline — the exact bytes
-    :func:`write_manifest` produces and the byte-identity contracts
-    (seed determinism, codegen parity) compare. ``NaN`` and infinities
-    are rejected: they round-trip ambiguously.
+    :func:`write_manifest` produces and byte-identity checks compare.
+    ``NaN`` and infinities are rejected: they round-trip ambiguously.
     """
     return json.dumps(document, indent=2, sort_keys=True,
                       allow_nan=False) + "\n"

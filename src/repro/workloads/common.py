@@ -511,71 +511,16 @@ class GraphPipelineWorkload:
                            width=1, payload=True)],
         }
 
-    def _codegen_descriptor(self, role: str, shard: int):
-        """(StageShape, bindings) consumed by :mod:`repro.codegen`.
-
-        The shape carries only what the generated *source* depends on;
-        everything instance-specific (queue names, the workload's hook
-        methods, the shard id) rides in the bindings and is resolved at
-        step-function bind time. ``consumed``/``produced`` restate the
-        stage DFG's queue contract so the binder can cross-check the
-        descriptor against ``DataflowGraph.queue_signature()`` and fall
-        back to interpretation on any mismatch.
-        """
-        from repro.codegen.emit import StageShape
-        from repro.core.pe import StageLivelockError
-
-        q = self.q
-        # The S0 and S3 sources do not read simple_edges; keeping its
-        # default there lets one source per role serve every workload.
-        simple = self.edge_fetch_words == 1 or role in ("s0", "s3")
-        shape = StageShape(role, simple_edges=simple)
-        bindings = {
-            "workload": self,
-            "shard": shard,
-            "STOP_VALUE": STOP_VALUE,
-            "END_ITER": END_ITER,
-            "LivelockError": StageLivelockError,
-        }
-        if role == "s0":
-            bindings.update(
-                q_in=q("iter", shard), q_fr_in=q("fr_in", shard),
-                q_fr_out=q("fr_out", shard), q_out=q("off_in", shard),
-                consumed=frozenset((q("iter", shard), q("fr_out", shard))),
-                produced=frozenset((q("off_in", shard), q("fr_in", shard))))
-        elif role == "s1":
-            bindings.update(
-                q_in=q("off_out", shard), q_out=q("ngh_in", shard),
-                consumed=frozenset((q("off_out", shard),)),
-                produced=frozenset((q("ngh_in", shard),)))
-        elif role == "s2":
-            bindings.update(
-                q_in=q("ngh_out", shard), q_out=q("val_in", shard),
-                consumed=frozenset((q("ngh_out", shard),)),
-                produced=frozenset((q("val_in", shard),)))
-        else:
-            # S3's barrier enqueue targets an external queue that is
-            # deliberately outside the stage DFG (control plane).
-            bindings.update(
-                q_in=q("inbox", shard), q_barrier=f"{self.name}.barrier",
-                consumed=frozenset((q("inbox", shard),)),
-                produced=frozenset())
-        return shape, bindings
-
     def _shard_stage_specs(self, shard: int) -> dict:
         return {
             "s0": StageSpec(self.stage_name("fringe", shard),
-                            self._s0_dfg(shard), self._s0_semantics(shard),
-                            codegen=self._codegen_descriptor("s0", shard)),
+                            self._s0_dfg(shard), self._s0_semantics(shard)),
             "s1": StageSpec(self.stage_name("enum", shard),
-                            self._s1_dfg(shard), self._s1_semantics(shard),
-                            codegen=self._codegen_descriptor("s1", shard)),
+                            self._s1_dfg(shard), self._s1_semantics(shard)),
             "s2": StageSpec(self.stage_name("fetch", shard),
-                            self._s2_dfg(shard), self._s2_semantics(shard),
-                            codegen=self._codegen_descriptor("s2", shard)),
+                            self._s2_dfg(shard), self._s2_semantics(shard)),
             "s3": StageSpec(self.stage_name("update", shard),
-                            self._s3_dfg(shard), self._s3_semantics(shard),
-                            codegen=self._codegen_descriptor("s3", shard)),
+                            self._s3_dfg(shard), self._s3_semantics(shard)),
         }
 
     def build_program(self, config: SystemConfig, mode: str,

@@ -226,7 +226,7 @@ class TestCacheCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         configure_artifact_cache(tmp_path)
         try:
-            assert cli_main(["compile", "sssp", "--emit-python"]) == 0
+            assert cli_main(["run", "bfs", "Hu", "--scale", "0.05"]) == 0
             capsys.readouterr()
             stats = cache_cli("stats")
             assert set(stats) == {"root", "artifacts"}

@@ -114,6 +114,12 @@ def test_spmm_run_loads_neither_frontend_nor_analysis():
     assert not _under(loaded, "repro.analysis")
 
 
+def test_lint_loads_no_codegen():
+    loaded = _fresh(loaded_by_command, ["lint", "bfs"])
+    assert "repro.workloads.bfs" in loaded
+    assert not _under(loaded, "repro.codegen")
+
+
 @pytest.mark.parametrize("preload", (False, True),
                          ids=("lazy", "submodules-first"))
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

@@ -362,7 +362,7 @@ def test_fast_engine_binds_and_naive_unbinds(bfs_system):
     system.run(engine="fast")
     drms = [drm for pe in system.pes for drm in pe.drms]
     assert drms and all(drm.step_fn is not None for drm in drms)
-    fast = bfs_system().run(engine="fast", codegen=False)
+    fast = bfs_system().run(engine="fast")
     naive_system = bfs_system()
     naive = naive_system.run(engine="naive")
     assert all(drm.step_fn is None

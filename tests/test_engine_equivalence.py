@@ -1,12 +1,14 @@
 """Differential suite: the fast engine must be cycle-exact.
 
 The fast engine (``engine="fast"``) bulk-charges blocked spans instead
-of ticking them cycle by cycle and jumps fully quiescent systems to
-their deadlock/timeout horizon (docs/performance.md). These tests lock
-it down against the naive per-cycle reference: for every workload,
-final cycle counts, per-PE counters, CPI stacks, cache and memory
-statistics, functional results, and sampled telemetry series must be
-*identical* — not approximately equal — under both engines.
+of ticking them cycle by cycle, jumps fully quiescent systems to their
+deadlock/timeout horizon, and runs every stage and DRM as a generated
+step-function where the naive engine interprets (docs/performance.md).
+These tests lock it down against the naive per-cycle reference: for
+every workload, final cycle counts, per-PE counters, CPI stacks, cache
+and memory statistics, functional results, and sampled telemetry
+series must be *identical* — not approximately equal — under both
+engines.
 
 Truncated runs matter as much as completed ones: a
 :class:`DeadlockError` or :class:`SimulationTimeout` raised mid-flight
@@ -43,13 +45,6 @@ _CASES = [
     ("silo", "YC", 1.0),
 ]
 
-# The codegen axis: every differential case runs both with the
-# interpreted coroutine path and with compiled step-functions
-# (System.run(codegen=True)); both must be bit-identical.
-_CODEGEN = pytest.mark.parametrize(
-    "codegen", [False, True], ids=["interp", "codegen"])
-
-
 @pytest.fixture(scope="module")
 def prepared_inputs():
     return {(app, code): prepare_input(app, code, scale=scale)
@@ -81,13 +76,11 @@ def _assert_runs_identical(runs):
         assert _same_result(run.result, naive.result), engine
 
 
-@_CODEGEN
 @pytest.mark.parametrize("app,code,scale", _CASES)
-def test_engines_identical_fifer(app, code, scale, codegen,
-                                 prepared_inputs):
+def test_engines_identical_fifer(app, code, scale, prepared_inputs):
     prepared = prepared_inputs[(app, code)]
     runs = {engine: run_experiment(app, code, "fifer", prepared=prepared,
-                                   engine=engine, codegen=codegen)
+                                   engine=engine)
             for engine in ENGINES}
     _assert_runs_identical({e: r.raw for e, r in runs.items()})
     for engine in ENGINES:
@@ -95,31 +88,14 @@ def test_engines_identical_fifer(app, code, scale, codegen,
         assert runs[engine].raw.engine == engine
 
 
-@_CODEGEN
 @pytest.mark.parametrize("app,code,scale", [("bfs", "Hu", 0.1),
                                             ("spmm", "GE", 0.1)])
-def test_engines_identical_static(app, code, scale, codegen,
-                                  prepared_inputs):
+def test_engines_identical_static(app, code, scale, prepared_inputs):
     prepared = prepared_inputs[(app, code)]
     runs = {engine: run_experiment(app, code, "static", prepared=prepared,
-                                   engine=engine, codegen=codegen)
+                                   engine=engine)
             for engine in ENGINES}
     _assert_runs_identical({e: r.raw for e, r in runs.items()})
-
-
-@pytest.mark.parametrize("app,code,scale", _CASES)
-def test_codegen_matches_interpreted(app, code, scale, prepared_inputs):
-    """Compiled step-functions reproduce the interpreted run exactly —
-    cycles, counters, CPI stacks, cache/memory stats, and results —
-    not just agree across engines (the codegen-parametrized tests)."""
-    prepared = prepared_inputs[(app, code)]
-    interp = run_experiment(app, code, "fifer", prepared=prepared,
-                            engine="fast", codegen=False)
-    compiled = run_experiment(app, code, "fifer", prepared=prepared,
-                              engine="fast", codegen=True)
-    # _assert_runs_identical compares everything against key "naive";
-    # here the interpreted run is the reference.
-    _assert_runs_identical({"naive": interp.raw, "codegen": compiled.raw})
 
 
 def test_sampled_series_identical(prepared_inputs):

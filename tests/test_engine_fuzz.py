@@ -5,15 +5,14 @@ generator draws random small :class:`SystemConfig` variations (queue
 depths, PE counts, DRM issue/outstanding limits, memory latency and
 bandwidth, quanta, scheduler policies, stage speed factors) crossed
 with random dataset slices (app, input, scale, seed) and runs the same
-experiment under both engines in :data:`repro.core.ENGINES` (``fast``
-and the ``naive`` reference), each both with the interpreted coroutine
-path and with compiled step-functions (``codegen=True``; stage-speedup
-draws exercise fractional per-token costs through the generated code).
-The property is the differential contract of ``docs/performance.md``:
-all four engine x codegen runs produce the *identical* fingerprint —
-cycle count, per-PE counters, CPI stacks, cache/memory statistics,
-per-queue totals, and functional results — and interrupted runs
-(deadlock, timeout) raise byte-identical reports.
+experiment under both engines in :data:`repro.core.ENGINES` (``fast``,
+which runs generated step-functions, and the interpreted ``naive``
+reference; stage-speedup draws exercise fractional per-token costs
+through the generated code). The property is the differential
+contract of ``docs/performance.md``: both runs produce the
+*identical* fingerprint — cycle count, per-PE counters, CPI stacks,
+cache/memory statistics, per-queue totals, and functional results —
+and interrupted runs (deadlock, timeout) raise byte-identical reports.
 
 On a failing seed the harness shrinks the case (smaller scale, fewer
 PEs, default knobs) while it still fails, then persists the minimal
@@ -118,8 +117,7 @@ def _canon(value):
     return value
 
 
-def run_fingerprint(case: dict, engine: str, prepared=None,
-                    codegen: bool = False):
+def run_fingerprint(case: dict, engine: str, prepared=None):
     """Run one engine; return its complete observable fingerprint.
 
     A mid-flight exception *is* the fingerprint for truncated runs: the
@@ -135,7 +133,7 @@ def run_fingerprint(case: dict, engine: str, prepared=None,
         res = run_experiment(case["app"], case["code"], case["mode"],
                              prepared=prepared, config=config,
                              engine=engine, max_cycles=case["max_cycles"],
-                             codegen=codegen, check=False)
+                             check=False)
     except Exception as exc:  # deadlock/timeout/config rejection
         return ("raise", type(exc).__name__, str(exc))
     raw = res.raw
@@ -151,21 +149,17 @@ def run_fingerprint(case: dict, engine: str, prepared=None,
 
 
 def case_fails(case: dict) -> dict | None:
-    """Run engines x codegen; return {label: fingerprint} on mismatch.
+    """Run every engine; return {engine: fingerprint} on mismatch.
 
-    The property crosses every engine with both execution paths
-    (interpreted coroutines and compiled step-functions): all four
-    fingerprints must be identical, including on truncated runs, where
-    a codegen stage's ``stage.pending`` request must clamp exactly
-    like the interpreter's.
+    Both fingerprints must be identical, including on truncated runs,
+    where a generated step-function's ``stage.pending`` request must
+    clamp exactly like the interpreter's.
     """
     prepared = prepare_input(case["app"], case["code"],
                              scale=case["scale"], seed=case["seed"])
-    prints = {f"{engine}/{label}": run_fingerprint(
-                  case, engine, prepared=prepared, codegen=codegen)
-              for engine in ENGINES
-              for label, codegen in (("interp", False), ("codegen", True))}
-    reference = prints["naive/interp"]
+    prints = {engine: run_fingerprint(case, engine, prepared=prepared)
+              for engine in ENGINES}
+    reference = prints["naive"]
     if all(fp == reference for fp in prints.values()):
         return None
     return prints

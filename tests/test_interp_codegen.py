@@ -348,34 +348,53 @@ def test_bad_requests_raise_alike(request_, error):
     assert messages[0] == messages[1]
 
 
-def test_fast_engine_binds_interp_to_fallback_stages():
-    """On the fast engine every stage without a generated body runs the
-    interp step-function, codegen on or off; the naive engine runs
-    PE._execute. The codegen counts keep their meaning."""
+def _fingerprint(raw) -> str:
+    return repr((raw.cycles, [list(dict.items(c)) for c in raw.pe_counters],
+                 raw.l1_stats, raw.llc_stats, raw.mem_stats))
+
+
+def test_fast_engine_binds_interp_to_fallback_stages(monkeypatch):
+    """On the fast engine every stage runs the interp step-function, for
+    a graph app as for spmm, and the ``codegen`` keyword of System.run
+    and run_experiment selects nothing: with it on or off, no
+    ``codegen_*`` engine stat, and the same cycles, counters and cache
+    stats as each other and as the naive engine. A naive run on a
+    System the fast engine ran drops the step-functions."""
     from repro.core import System
     from repro.harness import (build_cgra_program, prepare_input,
-                               resolve_config)
-    prepared = prepare_input("spmm", "GE", scale=0.02, seed=0)
-    config = resolve_config("spmm")
-    results = {}
-    for engine, codegen in (("fast", False), ("fast", True),
-                            ("naive", True)):
-        program, _ = build_cgra_program(prepared, config, "fifer",
-                                        "decoupled")
-        system = System(config, program, mode="fifer")
-        raw = system.run(engine=engine, codegen=codegen)
-        stages = [s for pe in system.pes for s in pe.stages]
-        if engine == "fast":
+                               resolve_config, run_experiment)
+    systems = []
+    real_run = System.run
+
+    def spy(system, *args, **kwargs):
+        systems.append(system)
+        return real_run(system, *args, **kwargs)
+
+    monkeypatch.setattr(System, "run", spy)
+    for app, code, scale in (("spmm", "GE", 0.02), ("bfs", "Hu", 0.05)):
+        prepared = prepare_input(app, code, scale=scale, seed=0)
+        config = resolve_config(app)
+
+        def fresh():
+            program, _ = build_cgra_program(prepared, config, "fifer",
+                                            "decoupled")
+            return System(config, program, mode="fifer")
+
+        systems.clear()
+        runs = []
+        for codegen in (False, True):
+            runs.append(fresh().run(codegen=codegen))
+            runs.append(run_experiment(app, code, "fifer", prepared=prepared,
+                                       codegen=codegen).raw)
+        assert len(systems) == 4
+        for system in systems:
             assert all(s.step_fn.__code__.co_filename
-                       == "<repro.codegen:interp>" for s in stages)
-        else:
-            assert all(s.step_fn is None for s in stages)
-        if codegen:
-            assert raw.engine_stats["codegen_stages"] == 0
-            assert raw.engine_stats["codegen_fallback"] == len(stages)
-        else:
-            assert "codegen_stages" not in raw.engine_stats
-        results[engine, codegen] = (
-            raw.cycles, [list(dict.items(c)) for c in raw.pe_counters],
-            raw.l1_stats, raw.llc_stats, raw.mem_stats)
-    assert len(set(map(repr, results.values()))) == 1
+                       == "<repro.codegen:interp>"
+                       for pe in system.pes for s in pe.stages), app
+        runs.append(fresh().run(engine="naive"))
+        systems[0].run(engine="naive")
+        assert all(s.step_fn is None
+                   for pe in systems[0].pes for s in pe.stages)
+        assert not [key for raw in runs for key in raw.engine_stats
+                    if key.startswith("codegen")]
+        assert len({_fingerprint(raw) for raw in runs}) == 1, app

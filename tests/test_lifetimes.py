@@ -149,14 +149,12 @@ def _prepared(app: str):
     return prepare_input(app, APP_INPUTS[app][0], scale=SCALE, seed=1)
 
 
-@pytest.mark.parametrize("codegen", [False, True],
-                         ids=["interp", "codegen"])
 @pytest.mark.parametrize("system", ["static", "fifer"])
 @pytest.mark.parametrize("app", sorted(APP_INPUTS))
-def test_cgra_run_frees_itself(built, app, system, codegen):
+def test_cgra_run_frees_itself(built, app, system):
     prepared = _prepared(app)
     _check(built, lambda: run_experiment(
-        app, prepared.code, system, prepared=prepared, codegen=codegen))
+        app, prepared.code, system, prepared=prepared))
     assert set(built["refs"]) == {"system", "pe", "stage", "drm",
                                   "queue", "l1", "workload"}
 

@@ -111,6 +111,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "PE0" in out and "legend:" in out
 
+    def test_trace_gantt_out(self, tmp_path, capsys):
+        """``--out`` holds the default gantt chart and its share table;
+        stdout stays empty."""
+        out = tmp_path / "gantt.txt"
+        assert cli_main(["trace", "bfs", "Hu", "--scale", "0.12",
+                         "--pes", "2", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gantt trace written" in captured.err
+        chart = out.read_text()
+        assert "PE0" in chart and "legend:" in chart
+        assert "resident-cycle share by stage:" in chart
+
     def test_trace_chrome_format(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         assert cli_main(["trace", "bfs", "Hu", "--scale", "0.12",
@@ -158,6 +171,10 @@ class TestCLI:
     def test_report_rejects_empty_dir(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["report", str(tmp_path)])
+
+    def test_compile_stage_out_of_range_rejected(self):
+        with pytest.raises(SystemExit, match="no stage 7"):
+            cli_main(["compile", "bfs", "--stage", "7"])
 
     def test_unknown_input_rejected(self):
         with pytest.raises(SystemExit):
@@ -214,6 +231,8 @@ class TestCLI:
           "{file}/x.txt"], "cannot write"),
         (["trace", "spmm", "FS", "--scale", "0.1", "--format", "jsonl",
           "--out", "{file}/x.jsonl"], "cannot write"),
+        (["trace", "spmm", "FS", "--scale", "0.1", "--format", "gantt",
+          "--out", "{file}/x.txt"], "cannot write"),
         (["trace", "spmm", "FS", "--scale", "0.1", "--format", "jsonl",
           "--sample-period", "0"], "--sample-period: must be positive"),
         (["trace", "spmm", "FS", "--scale", "0.1", "--sample-period", "0",
