@@ -67,9 +67,9 @@ from typing import NoReturn
 from repro.config import SystemConfig
 from repro.harness.format import format_table
 from repro.harness.run import (APP_INPUTS, SYSTEMS, build_cgra_program,
-                               check_scale_seed, prepare_input,
-                               resolve_config, run_experiment,
-                               speedup_table)
+                               check_input, check_scale_seed,
+                               prepare_input, resolve_config,
+                               run_experiment, speedup_table)
 
 # Each verb imports the machinery it runs, so that a command loads only
 # what it uses (docs/performance.md, "Cold start"). For the same reason
@@ -150,15 +150,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "default) or naive (per-cycle reference)")
 
 
-def _check_input(app: str, code: str) -> None:
-    if code not in APP_INPUTS[app]:
-        raise SystemExit(
-            f"unknown input {code!r} for {app}; choose from "
-            f"{', '.join(APP_INPUTS[app])}")
+def _check_input(verb: str, app: str, code: str) -> None:
+    """Exit 2 through :func:`_fail` for an input code ``app`` lacks."""
+    try:
+        check_input(app, code)
+    except ValueError as exc:
+        _fail(verb, str(exc))
 
 
 def cmd_run(args) -> int:
-    _check_input(args.app, args.input)
+    _check_input("run", args.app, args.input)
     result = run_experiment(args.app, args.input, args.system,
                             variant=args.variant, scale=args.scale,
                             seed=args.seed, engine=args.engine,
@@ -189,7 +190,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     from repro.harness.report import bar_chart
     from repro.harness.sweep import SweepPoint, run_sweep
-    _check_input(args.app, args.input)
+    _check_input("compare", args.app, args.input)
     points = [SweepPoint(args.app, args.input, system, scale=args.scale,
                          seed=args.seed, engine=args.engine)
               for system in SYSTEMS]
@@ -270,7 +271,7 @@ def _event_trace(system, args, out):
 
 
 def cmd_trace(args) -> int:
-    _check_input(args.app, args.input)
+    _check_input("trace", args.app, args.input)
     system = _traceable_system(args)
     out = _open_out("trace", args.out)
     try:
@@ -378,7 +379,7 @@ def cmd_lint(args) -> int:
         targets = [(app, APP_INPUTS[app][0]) for app in sorted(APP_INPUTS)]
     else:
         code = args.input or APP_INPUTS[args.app][0]
-        _check_input(args.app, code)
+        _check_input("lint", args.app, code)
         targets = [(args.app, code)]
     reports = []
     for app, code in targets:
@@ -478,7 +479,7 @@ def cmd_advise(args) -> int:
 
 def cmd_stats(args) -> int:
     from repro.stats.manifest import build_manifest
-    _check_input(args.app, args.input)
+    _check_input("stats", args.app, args.input)
     if args.manifest_dir is not None:
         # Fail before simulating, not after the run.
         try:
@@ -526,7 +527,7 @@ def cmd_stats(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.profiling import parse_whatif, predict_speedup
-    _check_input(args.app, args.input)
+    _check_input("profile", args.app, args.input)
     try:
         whatifs = [parse_whatif(spec) for spec in args.what_if]
     except ValueError as exc:

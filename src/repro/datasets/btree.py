@@ -50,13 +50,15 @@ class BPlusTree:
         # `fanout` keys + `fanout+1` pointers/values, line-aligned.
         self.node_bytes = -(-(fanout * 8 + (fanout + 1) * 8) // 64) * 64
 
-        # Build leaves, then parent levels bottom-up.
+        # Build leaves, then parent levels bottom-up. Nodes hold Python
+        # ints, so lookups bisect without boxing numpy scalars; each
+        # leaf converts its own slice, which keeps no whole-array list.
         levels: list[list[_Node]] = []
         leaves = []
         for lo in range(0, len(keys), fanout):
-            hi = min(lo + fanout, len(keys))
-            leaves.append(_Node(-1, True, list(keys[lo:hi]),
-                                values=list(values[lo:hi])))
+            hi = lo + fanout
+            leaves.append(_Node(-1, True, keys[lo:hi].tolist(),
+                                values=values[lo:hi].tolist()))
         levels.append(leaves)
         def subtree_min(node: "_Node"):
             while not node.is_leaf:

@@ -82,7 +82,9 @@ def _symmetrize(n: int, sources: np.ndarray, targets: np.ndarray) -> CSRGraph:
     """Build an undirected CSR graph from an edge list (both directions)."""
     src = np.concatenate([sources, targets])
     dst = np.concatenate([targets, sources])
-    order = np.lexsort((dst, src))
+    # Both ends lie in [0, n), so sorting the key src * n + dst stably
+    # is the (src, dst) lexicographic sort.
+    order = np.argsort(src * n + dst, kind="stable")
     src, dst = src[order], dst[order]
     # Deduplicate parallel edges and self-loops.
     keep = src != dst
@@ -92,8 +94,7 @@ def _symmetrize(n: int, sources: np.ndarray, targets: np.ndarray) -> CSRGraph:
         keep &= ~dup
     src, dst = src[keep], dst[keep]
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets[1:], src, 1)
-    np.cumsum(offsets, out=offsets)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
     graph = CSRGraph(offsets, dst.astype(np.int64))
     graph.validate()
     return graph

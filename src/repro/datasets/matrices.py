@@ -71,7 +71,10 @@ class SparseMatrix:
 
 def _from_coo(n: int, rows: np.ndarray, cols: np.ndarray,
               vals: np.ndarray) -> SparseMatrix:
-    order = np.lexsort((cols, rows))
+    # Coordinates lie in [0, n), so a stable sort of row * n + col is
+    # the (row, col) lexicographic sort, and col * n + row the (col,
+    # row) one.
+    order = np.argsort(rows * n + cols, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
     if len(rows):  # drop duplicate coordinates (keep first)
         dup = np.zeros(len(rows), dtype=bool)
@@ -79,14 +82,12 @@ def _from_coo(n: int, rows: np.ndarray, cols: np.ndarray,
         rows, cols, vals = rows[~dup], cols[~dup], vals[~dup]
 
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_ptr[1:], rows, 1)
-    np.cumsum(row_ptr, out=row_ptr)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
 
-    corder = np.lexsort((rows, cols))
+    corder = np.argsort(cols * n + rows, kind="stable")
     crows, ccols, cvals = rows[corder], cols[corder], vals[corder]
     col_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(col_ptr[1:], ccols, 1)
-    np.cumsum(col_ptr, out=col_ptr)
+    np.cumsum(np.bincount(ccols, minlength=n), out=col_ptr[1:])
 
     return SparseMatrix(
         n=n,

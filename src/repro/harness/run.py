@@ -84,6 +84,19 @@ def check_scale_seed(scale: Optional[float] = None,
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
+def check_input(app: str, code: str) -> None:
+    """Reject an app or input code outside :data:`APP_INPUTS`.
+
+    Raises :class:`ValueError` naming the offending value and the valid
+    choices."""
+    if app not in APP_INPUTS:
+        raise ValueError(f"unknown app {app!r}; choose from "
+                         f"{', '.join(sorted(APP_INPUTS))}")
+    if code not in APP_INPUTS[app]:
+        raise ValueError(f"unknown input {code!r} for {app}; choose from "
+                         f"{', '.join(APP_INPUTS[app])}")
+
+
 @dataclass
 class PreparedInput:
     app: str
@@ -124,8 +137,11 @@ def prepare_input(app: str, code: str, scale: Optional[float] = None,
                   seed: int = 1) -> PreparedInput:
     """Generate the synthetic input and its golden reference result.
 
-    Raises :class:`ValueError` naming the field for a scale or seed the
-    generators cannot honour (see :func:`check_scale_seed`)."""
+    Raises :class:`ValueError` for an app or input code outside
+    :data:`APP_INPUTS` (see :func:`check_input`), and naming the field
+    for a scale or seed the generators cannot honour (see
+    :func:`check_scale_seed`)."""
+    check_input(app, code)
     if scale is None:
         scale = default_scale(app, code)
     check_scale_seed(scale, seed)

@@ -122,7 +122,12 @@ def _aggregate_l1(l1_stats) -> dict:
 
 
 def write_manifest(manifest: dict, directory) -> Path:
-    """Write ``manifest`` under ``directory`` with a collision-free name."""
+    """Write ``manifest`` under ``directory`` with a collision-free name.
+
+    The file holds :func:`canonical_json` of ``manifest``, so a
+    non-finite value (``NaN``, an infinity) raises :class:`ValueError`
+    before anything is written."""
+    text = canonical_json(manifest)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stem = "-".join(str(manifest.get(k, "?")) for k in
@@ -133,7 +138,7 @@ def write_manifest(manifest: dict, directory) -> Path:
     while path.exists():
         n += 1
         path = directory / f"{stem}-{n}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(text)
     return path
 
 

@@ -18,20 +18,22 @@ from repro.datasets.graphs import CSRGraph
 
 def bfs_reference(graph: CSRGraph, source: int) -> np.ndarray:
     """Golden serial BFS; -1 marks unreachable vertices."""
-    distances = np.full(graph.n_vertices, -1, dtype=np.int64)
+    offsets = graph.offsets.tolist()
+    neighbors = graph.neighbors.tolist()
+    distances = [-1] * graph.n_vertices
     distances[source] = 0
     fringe = [source]
     current = 1
     while fringe:
         next_fringe = []
         for v in fringe:
-            for ngh in graph.neighbors_of(v):
+            for ngh in neighbors[offsets[v]:offsets[v + 1]]:
                 if distances[ngh] < 0:
                     distances[ngh] = current
-                    next_fringe.append(int(ngh))
+                    next_fringe.append(ngh)
         fringe = next_fringe
         current += 1
-    return distances
+    return np.array(distances, dtype=np.int64)
 
 
 def build(graph: CSRGraph, config, mode: str, variant: str = "decoupled",

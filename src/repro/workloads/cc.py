@@ -19,18 +19,20 @@ from repro.datasets.graphs import CSRGraph
 
 def cc_reference(graph: CSRGraph) -> np.ndarray:
     """Golden label propagation; labels converge to component minima."""
-    labels = np.arange(graph.n_vertices, dtype=np.int64)
+    offsets = graph.offsets.tolist()
+    neighbors = graph.neighbors.tolist()
+    labels = list(range(graph.n_vertices))
     fringe = list(range(graph.n_vertices))
     while fringe:
         touched = set()
         for v in fringe:
             label = labels[v]
-            for ngh in graph.neighbors_of(v):
+            for ngh in neighbors[offsets[v]:offsets[v + 1]]:
                 if label < labels[ngh]:
                     labels[ngh] = label
-                    touched.add(int(ngh))
+                    touched.add(ngh)
         fringe = sorted(touched)
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def build(graph: CSRGraph, config, mode: str, variant: str = "decoupled"):

@@ -30,32 +30,34 @@ EPSILON_FRACTION = 0.05  # epsilon = EPSILON_FRACTION / n
 def prd_reference(graph: CSRGraph, max_iterations: int = 1000) -> np.ndarray:
     """Golden PageRank-Delta; returns the rank vector."""
     n = graph.n_vertices
+    offsets = graph.offsets.tolist()
+    neighbors = graph.neighbors.tolist()
     epsilon = EPSILON_FRACTION / n
-    rank = np.zeros(n, dtype=np.float64)
-    delta = np.full(n, 1.0 / n, dtype=np.float64)
-    acc = np.zeros(n, dtype=np.float64)
+    rank = [0.0] * n
+    delta = [1.0 / n] * n
+    acc = [0.0] * n
     active = list(range(n))
     for _ in range(max_iterations):
         if not active:
             break
         touched = set()
         for v in active:
-            if abs(delta[v]) <= epsilon:
+            delta_v = delta[v]
+            if abs(delta_v) <= epsilon:
                 continue
-            rank[v] += delta[v]
-            degree = graph.out_degree(v)
-            if degree == 0:
+            rank[v] += delta_v
+            lo, hi = offsets[v], offsets[v + 1]
+            if hi == lo:
                 continue
-            contribution = DAMPING * delta[v] / degree
-            for ngh in graph.neighbors_of(v):
+            contribution = DAMPING * delta_v / (hi - lo)
+            for ngh in neighbors[lo:hi]:
                 acc[ngh] += contribution
-                touched.add(int(ngh))
-        active = []
-        for v in sorted(touched):
+                touched.add(ngh)
+        active = sorted(touched)
+        for v in active:
             delta[v] = acc[v]
             acc[v] = 0.0
-            active.append(v)
-    return rank
+    return np.array(rank, dtype=np.float64)
 
 
 class PRDeltaWorkload(GraphPipelineWorkload):

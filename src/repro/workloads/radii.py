@@ -32,25 +32,32 @@ def radii_reference(graph: CSRGraph, k: int = 64, seed: int = 7,
     in the capped pipeline run.
     """
     n = graph.n_vertices
-    sources = _sample_sources(n, k, seed)
-    visited = np.zeros(n, dtype=np.uint64)
-    next_visited = np.zeros(n, dtype=np.uint64)
-    radii = np.full(n, -1, dtype=np.int64)
+    offsets = graph.offsets.tolist()
+    neighbors = graph.neighbors.tolist()
+    sources = _sample_sources(n, k, seed).tolist()
+    # Masks are Python ints; with at most 64 sources every mask stays
+    # below 2**64, as in the pipeline's uint64 words.
+    if len(sources) > 64:
+        raise ValueError(f"radii samples at most 64 sources (one bit "
+                         f"of a 64-bit mask each), got k={k}")
+    visited = [0] * n
+    next_visited = [0] * n
+    radii = [-1] * n
     for bit, src in enumerate(sources):
-        visited[src] |= np.uint64(1 << bit)
+        visited[src] |= 1 << bit
         radii[src] = 0
-    fringe = sorted(int(s) for s in set(sources))
+    fringe = sorted(set(sources))
     iteration = 0
     while fringe:
         iteration += 1
         touched = set()
         for v in fringe:
             mask = visited[v]
-            for ngh in graph.neighbors_of(v):
+            for ngh in neighbors[offsets[v]:offsets[v + 1]]:
                 combined = next_visited[ngh] | mask
                 if combined != next_visited[ngh]:
                     next_visited[ngh] = combined
-                    touched.add(int(ngh))
+                    touched.add(ngh)
         if max_iterations is not None and iteration >= max_iterations:
             break
         fringe = []
@@ -59,7 +66,7 @@ def radii_reference(graph: CSRGraph, k: int = 64, seed: int = 7,
                 visited[v] |= next_visited[v]
                 radii[v] = iteration
                 fringe.append(v)
-    return radii
+    return np.array(radii, dtype=np.int64)
 
 
 class RadiiWorkload(GraphPipelineWorkload):

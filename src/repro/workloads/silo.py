@@ -42,11 +42,11 @@ def silo_reference(tree: BPlusTree, keys) -> tuple[int, int]:
     """Golden lookups; returns (found_count, checksum_of_found_values)."""
     found = 0
     checksum = 0
-    for key in keys:
-        value = tree.lookup(int(key))
+    for key in np.asarray(keys, dtype=np.int64).tolist():
+        value = tree.lookup(key)
         if value is not None:
             found += 1
-            checksum = (checksum + int(value)) & 0xFFFFFFFFFFFF
+            checksum = (checksum + value) & 0xFFFFFFFFFFFF
     return found, checksum
 
 

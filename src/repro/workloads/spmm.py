@@ -44,14 +44,20 @@ def spmm_reference(matrix: SparseMatrix, rows, cols) -> dict:
     Accumulation follows ascending coordinate order — the same order the
     pipeline's merge-intersect uses — so results match bit-for-bit.
     """
+    columns = []
+    for j in cols:
+        b_idx, b_val = matrix.col(j)
+        columns.append((int(j), b_idx.tolist(), b_val.tolist()))
     out = {}
     for i in rows:
         a_idx, a_val = matrix.row(i)
-        for j in cols:
-            b_idx, b_val = matrix.col(j)
+        a_idx, a_val = a_idx.tolist(), a_val.tolist()
+        n_a = len(a_idx)
+        for j, b_idx, b_val in columns:
+            n_b = len(b_idx)
             acc = 0.0
             pa = pb = 0
-            while pa < len(a_idx) and pb < len(b_idx):
+            while pa < n_a and pb < n_b:
                 if a_idx[pa] == b_idx[pb]:
                     acc += a_val[pa] * b_val[pb]
                     pa += 1
@@ -61,7 +67,7 @@ def spmm_reference(matrix: SparseMatrix, rows, cols) -> dict:
                 else:
                     pb += 1
             if acc != 0.0:
-                out[(int(i), int(j))] = acc
+                out[(int(i), j)] = acc
     return out
 
 

@@ -26,23 +26,24 @@ INF = SSSP_INF
 
 def sssp_reference(graph: CSRGraph, source: int = 0) -> np.ndarray:
     """Golden Bellman-Ford-style fringe relaxation; INF = unreachable."""
-    weights = sssp_edge_weights(graph)
-    dist = np.full(graph.n_vertices, INF, dtype=np.int64)
+    offsets = graph.offsets.tolist()
+    neighbors = graph.neighbors.tolist()
+    weights = sssp_edge_weights(graph).tolist()
+    dist = [INF] * graph.n_vertices
     dist[source] = 0
     fringe = [source]
     while fringe:
         touched = set()
         for v in fringe:
-            dv = int(dist[v])
-            for e in range(int(graph.offsets[v]),
-                           int(graph.offsets[v + 1])):
-                ngh = int(graph.neighbors[e])
-                cand = dv + int(weights[e])
+            dv = dist[v]
+            lo, hi = offsets[v], offsets[v + 1]
+            for ngh, weight in zip(neighbors[lo:hi], weights[lo:hi]):
+                cand = dv + weight
                 if cand < dist[ngh]:
                     dist[ngh] = cand
                     touched.add(ngh)
         fringe = sorted(touched)
-    return dist
+    return np.array(dist, dtype=np.int64)
 
 
 def build(graph: CSRGraph, config, mode: str, variant: str = "decoupled",

@@ -59,6 +59,23 @@ class TestGraphGenerators:
             g.validate()
             assert g.n_vertices > 50
 
+    def test_symmetrize_sorts_dedups_and_drops_self_loops(self):
+        from repro.datasets.graphs import _symmetrize
+        rng = np.random.default_rng(4)
+        n = 40
+        src = rng.integers(0, n, size=300, dtype=np.int64)
+        dst = rng.integers(0, n, size=300, dtype=np.int64)
+        g = _symmetrize(n, src, dst)
+        adjacency = [set() for _ in range(n)]
+        for a, b in zip(src.tolist(), dst.tolist()):
+            if a != b:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+        for v in range(n):
+            assert g.neighbors_of(v).tolist() == sorted(adjacency[v])
+        empty = np.zeros(0, dtype=np.int64)
+        assert _symmetrize(3, empty, empty).offsets.tolist() == [0] * 4
+
     def test_validate_catches_bad_offsets(self):
         with pytest.raises(ValueError):
             CSRGraph(np.array([0, 2, 1], dtype=np.int64),
@@ -91,6 +108,18 @@ class TestMatrixGenerators:
             assert np.all(np.diff(idx) > 0)
             cidx, _ = m.col(i)
             assert np.all(np.diff(cidx) > 0)
+
+    def test_from_coo_keeps_first_duplicate(self):
+        from repro.datasets.matrices import _from_coo
+        rows = np.array([2, 0, 2, 1, 0], dtype=np.int64)
+        cols = np.array([1, 2, 1, 0, 2], dtype=np.int64)
+        m = _from_coo(3, rows, cols, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert m.row_ptr.tolist() == [0, 1, 2, 3]
+        assert m.row_idx.tolist() == [2, 0, 1]
+        assert m.row_val.tolist() == [2.0, 4.0, 1.0]
+        assert m.col_ptr.tolist() == [0, 1, 2, 3]
+        assert m.col_idx.tolist() == [1, 2, 0]
+        assert m.col_val.tolist() == [4.0, 1.0, 2.0]
 
     def test_table4_registry_complete(self):
         assert set(TABLE4_MATRICES) == {"FS", "Gr", "GE", "EM", "FD", "St"}
@@ -142,6 +171,12 @@ class TestBPlusTree:
         offsets = {tree.node_offset(i) for i in range(tree.n_nodes)}
         assert len(offsets) == tree.n_nodes
         assert tree.total_bytes == tree.n_nodes * tree.node_bytes
+
+    def test_nodes_hold_python_ints(self):
+        tree, _ = self._tree(n=100)
+        for node in tree.nodes:
+            for item in node.keys + node.values + node.children:
+                assert type(item) is int
 
     def test_single_leaf_tree(self):
         tree = BPlusTree([1, 2, 3], [10, 20, 30], fanout=8)

@@ -56,6 +56,18 @@ class TestHarnessPlumbing:
         with pytest.raises(ValueError):
             prepare_input("sorting", "Hu")
 
+    @pytest.mark.parametrize("app,code", [("bfs", "FS"), ("spmm", "Hu"),
+                                          ("silo", "Hu")])
+    def test_unknown_input_rejected(self, app, code):
+        message = (f"unknown input {code!r} for {app}; choose from "
+                   f"{', '.join(APP_INPUTS[app])}")
+        with pytest.raises(ValueError) as excinfo:
+            prepare_input(app, code)
+        assert str(excinfo.value) == message
+        # Before any simulation, so no result carries the bad label.
+        with pytest.raises(ValueError, match="unknown input"):
+            run_experiment(app, code, "serial")
+
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             run_experiment("bfs", "Hu", "tpu")

@@ -403,6 +403,16 @@ class TestManifests:
         assert first != second
         assert load_manifest(second) == manifest
 
+    def test_written_bytes_are_canonical(self, manifest_dir, tmp_path):
+        manifest = load_manifests(manifest_dir)[0]
+        path = write_manifest(manifest, tmp_path)
+        assert path.read_text() == canonical_json(manifest)
+        # A non-finite value fails before any file is written.
+        with pytest.raises(ValueError):
+            write_manifest(dict(manifest, cycles=float("nan")),
+                           tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
     def test_newer_schema_rejected(self, tmp_path):
         path = tmp_path / "future.json"
         path.write_text(json.dumps(

@@ -219,6 +219,10 @@ class TestCLI:
     #: Each exits 2 with one ``repro`` error line and no traceback,
     #: instead of a wrong answer or a traceback after the run.
     BAD_INPUT = [
+        (["run", "bfs", "FS"], "unknown input 'FS' for bfs; choose from"),
+        (["run", "silo", "Hu"], "unknown input 'Hu' for silo; choose from"),
+        (["stats", "spmm", "Hu"], "unknown input 'Hu' for spmm"),
+        (["lint", "cc", "YC"], "unknown input 'YC' for cc"),
         (["profile", "bfs", "Hu", "--scale", "0.1", "--what-if",
           "nosuch=50"], "choose from memory, reconfig, bfs."),
         (["profile", "bfs", "Hu", "--scale", "0.1", "--top", "-1"],

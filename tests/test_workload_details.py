@@ -110,6 +110,14 @@ class TestRadiiDetails:
         # mask changed); it can never be unreached.
         assert all(result[s] >= 0 for s in sources)
 
+    def test_at_most_64_sources(self):
+        graph = uniform_random_graph(100, 4.0, seed=14)
+        with pytest.raises(ValueError, match="at most 64 sources"):
+            radii.radii_reference(graph, k=65)
+        # Fewer vertices than k: every vertex is a source, one bit each.
+        small = uniform_random_graph(40, 4.0, seed=14)
+        assert (radii.radii_reference(small, k=65) >= 0).all()
+
     def test_radii_bounded_by_bfs_distance(self):
         graph = uniform_random_graph(200, 5.0, seed=15)
         sources = radii._sample_sources(200, 8, 3)
