@@ -1,10 +1,5 @@
-"""Content addressing for the compiled-artifact cache.
+"""Content addressing of compiled artifacts, by *content*, never by name:
 
-The artifact cache keys entries by *content*, never by name:
-
-* :func:`code_version` — digest of the ``repro`` package sources; the
-  on-disk artifact cache namespaces entries under it so a code change
-  can never serve stale compiled artifacts;
 * :func:`kernel_fingerprint` — a canonical serialization of an
   annotated kernel's structure (refs, expression graph, statements,
   init-function sources), so editing a kernel in any observable way
@@ -12,7 +7,7 @@ The artifact cache keys entries by *content*, never by name:
   hand-marked and auto-split kernels by it);
 * :func:`mapping_key` — the stage DFG's assembly text (a faithful,
   round-trippable serialization — see ``repro.ir.asmparse``) plus the
-  fabric geometry, keying fabric mappings.
+  fabric geometry, keying the in-process memo of fabric mappings.
 
 All digests are sha256 hex strings.
 """
@@ -22,8 +17,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import textwrap
-from functools import lru_cache
-from pathlib import Path
 from typing import Optional
 
 
@@ -38,21 +31,6 @@ def sha256_text(*parts: str) -> str:
     return h.hexdigest()
 
 
-@lru_cache(maxsize=1)
-def code_version() -> str:
-    """Digest of the ``repro`` package sources (this checkout): every
-    ``*.py`` file under the package, in sorted path order."""
-    import repro
-    root = Path(repro.__file__).resolve().parent
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        data = path.read_bytes()
-        h.update(path.relative_to(root).as_posix().encode("utf-8"))
-        h.update(str(len(data)).encode("ascii"))
-        h.update(data)
-    return h.hexdigest()
-
-
 # -- kernel fingerprinting -------------------------------------------------
 
 _SIMPLE_CELL_TYPES = (int, float, str, bool, bytes, type(None))
@@ -62,8 +40,8 @@ def callable_fingerprint(fn, _depth: int = 0) -> Optional[str]:
     """Digest a Python callable by source + defaults + closure cells.
 
     Captured values that cannot be rendered deterministically degrade
-    to an in-process-unique token: the cache then misses conservatively
-    instead of aliasing two behaviors under one key.
+    to an in-process-unique token, so two behaviors never alias under
+    one fingerprint.
     """
     if fn is None:
         return None
@@ -140,16 +118,13 @@ def kernel_fingerprint(kernel) -> str:
     return sha256_text(*rows)
 
 
-def mapping_key(dfg, fabric, max_replication: Optional[int]) -> str:
-    """Content-address of one fabric mapping.
+def mapping_key(dfg, fabric, max_replication: Optional[int]) -> tuple:
+    """Memo key of one fabric mapping.
 
     The DFG's assembly text is a faithful serialization (the asm
     round-trip suite asserts it parses back to an equivalent graph),
     so identical asm ⇒ identical mapping inputs; the fabric geometry
-    and the replication cap are the only other mapping inputs.
+    (a frozen :class:`~repro.cgra.fabric.FabricSpec`) and the
+    replication cap are the only other mapping inputs.
     """
-    return sha256_text(
-        "mapping/v1", dfg.name, dfg.to_asm(),
-        repr((fabric.cols, fabric.rows, fabric.fma_units,
-              fabric.config_bytes)),
-        repr(max_replication))
+    return dfg.name, dfg.to_asm(), fabric, max_replication

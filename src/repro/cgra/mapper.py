@@ -90,22 +90,19 @@ def fold_levels(levels: list[list[Node]], rows: int) -> list[list[Node]]:
 
 
 def map_dfg_cached(dfg: DataflowGraph, fabric: FabricSpec,
-                   max_replication: int | None = None,
-                   cache=None) -> Mapping:
-    """Content-addressed :func:`map_dfg`: a repeat mapping costs a hash.
+                   max_replication: int | None = None) -> Mapping:
+    """Memoized :func:`map_dfg`: a repeat mapping costs its key.
 
     The key is the DFG's assembly text (a faithful serialization —
     the asm round-trip suite asserts it) plus the fabric geometry and
     the replication cap, so any change to the stage's datapath or the
     target fabric misses and re-maps. Identical content returns the
-    cached :class:`Mapping` (frozen, safely shared) from the process
-    cache or, when a cache root is configured, from disk — counted
-    under the ``mapping.*`` counters of
+    memoized :class:`Mapping` (frozen, safely shared) for the rest of
+    the process, counted under the ``mapping.*`` counters of
     :class:`repro.cache.ArtifactCache`.
     """
     from repro.cache import get_artifact_cache, mapping_key
-    if cache is None:
-        cache = get_artifact_cache()
+    cache = get_artifact_cache()
     key = mapping_key(dfg, fabric, max_replication)
     mapping = cache.get("mapping", key)
     if mapping is None:

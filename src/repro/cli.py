@@ -51,8 +51,10 @@ Commands:
   manifest directories and flag cycle/blame/wall-time drifts beyond
   thresholds (exit 1 on failures). Committed baselines live under
   ``benchmarks/results/history/``.
-* ``cache stats|gc [--cache-dir DIR]`` — inspect or prune the
-  compiled-artifact cache (``docs/performance.md``).
+
+Bad input — an unknown input code, an out-of-range value, a path that
+cannot be read or written — exits 2 with one ``repro VERB: error:``
+line; ``lint`` and ``bench-diff`` exit 1 for a failing verdict.
 """
 
 from __future__ import annotations
@@ -293,9 +295,8 @@ def cmd_compile(args) -> int:
     description = pipeline.describe()
     stages = description["stages"]
     if args.stage is not None and not 0 <= args.stage < len(stages):
-        raise SystemExit(
-            f"no stage {args.stage}; {args.workload} has "
-            f"{len(stages)} stages (0..{len(stages) - 1})")
+        _fail("compile", f"no stage {args.stage}; {args.workload} has "
+                         f"{len(stages)} stages (0..{len(stages) - 1})")
     if args.json:
         payload = (stages[args.stage] if args.stage is not None
                    else description)
@@ -375,7 +376,7 @@ def cmd_lint(args) -> int:
     from repro.harness.run import analyze_workload, default_scale
     if args.app == "all":
         if args.input is not None:
-            raise SystemExit("lint all takes no INPUT argument")
+            _fail("lint", "lint all takes no INPUT argument")
         targets = [(app, APP_INPUTS[app][0]) for app in sorted(APP_INPUTS)]
     else:
         code = args.input or APP_INPUTS[args.app][0]
@@ -531,7 +532,7 @@ def cmd_profile(args) -> int:
     try:
         whatifs = [parse_whatif(spec) for spec in args.what_if]
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        _fail("profile", str(exc))
     out = _open_out("profile", args.out)
     try:
         result = run_experiment(args.app, args.input, args.system,
@@ -619,28 +620,12 @@ def cmd_bench_diff(args) -> int:
                             blame_tol=args.blame_tol,
                             wall_ratio=args.wall_ratio)
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        _fail("bench-diff", str(exc))
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def cmd_cache(args) -> int:
-    from repro.cache import ArtifactCache, default_cache_root
-    root = Path(args.cache_dir) if args.cache_dir else default_cache_root()
-    # The verb inspects the on-disk store under the root it prints, not
-    # the process cache, which is memory-only unless REPRO_CACHE_DIR is
-    # set.
-    cache = ArtifactCache(root)
-    if args.action == "stats":
-        artifacts = cache.stats()
-    else:  # gc
-        artifacts = cache.gc(all_versions=args.all)
-    document = {"root": str(root), "artifacts": artifacts}
-    print(json.dumps(document, indent=2, sort_keys=True))
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -650,9 +635,9 @@ def cmd_report(args) -> int:
         for directory in args.dirs:
             manifests.extend(load_manifests(directory))
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        _fail("report", str(exc))
     if not manifests:
-        raise SystemExit(f"no manifests found under {', '.join(args.dirs)}")
+        _fail("report", f"no manifests found under {', '.join(args.dirs)}")
     headers, rows = summarize_manifests(manifests)
     print(format_table(headers, rows,
                        title=f"run manifests ({len(manifests)} runs)"))
@@ -820,17 +805,6 @@ def main(argv=None) -> int:
                         help="emit machine-readable findings")
     p_diff.set_defaults(func=cmd_bench_diff)
 
-    p_cache = sub.add_parser(
-        "cache", help="inspect or prune the compiled-artifact cache")
-    p_cache.add_argument("action", choices=("stats", "gc"))
-    p_cache.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="cache root (default: $REPRO_CACHE_DIR or "
-                              "~/.cache/repro)")
-    p_cache.add_argument("--all", action="store_true",
-                         help="gc: also drop current-version compiled "
-                              "artifacts, not just stale versions")
-    p_cache.set_defaults(func=cmd_cache)
-
     p_report = sub.add_parser(
         "report", help="tabulate run manifests across runs")
     p_report.add_argument("dirs", nargs="+", metavar="DIR",
@@ -841,7 +815,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # stdout's reader went away (e.g. `repro cache stats | head`);
+        # stdout's reader went away (e.g. `repro inputs | head`);
         # detach so the interpreter's shutdown flush cannot re-raise.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -8,13 +8,12 @@ engine keeps ``PE._execute`` and the ``DRM.run`` ladder as the oracles
 of both.
 """
 
-from repro.codegen.emit import (CODEGEN_VERSION, INTERP, DrmShape,
-                                StageShape, drm_source, stage_source)
+from repro.codegen.emit import (INTERP, DrmShape, StageShape, drm_source,
+                                stage_source)
 from repro.codegen.runtime import (bind_system, drm_shape, emitted_count,
                                    source_for)
 
 __all__ = [
-    "CODEGEN_VERSION",
     "INTERP",
     "StageShape",
     "DrmShape",

@@ -33,8 +33,8 @@ counting alone (docs/performance.md, "Object lifetimes").
 
 Source text is a pure function of the shape — it never embeds queue
 names, shard ids, or addresses (those bind at ``make_step`` time) — so
-one cached artifact serves every stage of every workload. See
-:mod:`repro.codegen.runtime` for caching and binding.
+one compiled step-function serves every stage of every workload. See
+:mod:`repro.codegen.runtime` for compiling and binding.
 
 DRMs compile the same way, one step-function per :class:`DrmShape`
 (:func:`drm_source`), replaying the interpreted ``DRM.run`` ladder.
@@ -46,29 +46,17 @@ read, so each inlined primitive has one source text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.cache.content import sha256_text
-
-# Bump when the emitted code changes in any way that should invalidate
-# cached sources independently of the surrounding package (the on-disk
-# artifact cache is additionally namespaced by code_version()).
-CODEGEN_VERSION = "8"
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
 class StageShape:
     """The one stage shape (:data:`INTERP`): the generic request loop
-    over a stage's coroutine. It has no axes; it gives the stage source
-    the same cache key and label protocol as a :class:`DrmShape`."""
+    over a stage's coroutine. It has no axes; like a :class:`DrmShape`
+    it keys the compiled-code memo and names the generated code
+    (``<repro.codegen:NAME>``)."""
 
-    @property
-    def name(self) -> str:
-        """Label of the generated code (``<repro.codegen:NAME>``)."""
-        return "interp"
-
-    def key(self) -> str:
-        """Content-address of the source this shape emits."""
-        return sha256_text("codegen/v" + CODEGEN_VERSION, self.name)
+    name: ClassVar[str] = "interp"
 
 
 #: The step-function shape the fast engine binds to every stage.
@@ -122,10 +110,6 @@ class DrmShape:
                 parts.append(tag)
         return ".".join(parts)
 
-    def key(self) -> str:
-        """Content-address of the source this shape emits."""
-        return sha256_text("codegen/v" + CODEGEN_VERSION, self.name)
-
 
 # -- emission helpers --------------------------------------------------------
 #
@@ -144,7 +128,7 @@ def _pad(indent: int) -> str:
 def _header(shape, emitter: str) -> str:
     return (
         "# Generated by repro.codegen — specialized step-function.\n"
-        f"# shape: {shape.name} v={CODEGEN_VERSION}\n"
+        f"# shape: {shape.name}\n"
         f"# Do not edit: regenerate via repro.codegen.emit.{emitter}.\n"
     )
 
@@ -521,8 +505,6 @@ def stage_source(shape: StageShape) -> str:
     :func:`_request_loop`.
 
     Pure and deterministic: equal shapes produce byte-identical text.
-    Callers wanting caching go through
-    :func:`repro.codegen.runtime.source_for` instead.
     """
     body = f'''\
 

@@ -1,14 +1,11 @@
-"""Compile, cache, and bind generated step-functions.
+"""Compile and bind generated step-functions.
 
-Three layers keep warm paths free of source generation:
+Two layers keep warm paths free of source generation:
 
-1. the process-global :class:`~repro.cache.artifacts.ArtifactCache`
-   stores generated *source text* under the ``codegen`` kind (JSON on
-   disk, ``code_version``-namespaced) — shared by sweep workers and
-   CLI runs via ``REPRO_CACHE_DIR``;
-2. a process-local map caches the executed module's ``make_step``
-   factory per shape key, so repeat binds skip parsing and ``exec``;
-3. binding itself (one ``make_step`` call) is per stage-instance or
+1. a process-local memo, :data:`_FACTORY`, holds the executed module's
+   ``make_step`` factory per shape, so each shape is generated,
+   compiled and ``exec``'d once per process;
+2. binding itself (one ``make_step`` call) is per stage-instance or
    DRM and cheap — it resolves queues, caches and constants into
    closure locals. The PE, stage or DRM is an argument of every call
    (``step(pe, stage, budget)``, ``step(drm, budget)``), so no
@@ -24,18 +21,17 @@ warm run performs zero generation.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Optional
 
-from repro.cache.artifacts import ArtifactCache, get_artifact_cache
 from repro.codegen.emit import (DRM_MODES, INTERP, DrmShape, drm_source,
                                 stage_source)
 
-#: Process-local factory cache: shape key -> the generated module's
-#: make_step function (compile + exec happen once per shape).
+#: Process-local memo of compiled code: shape -> the generated module's
+#: make_step function (generation, compile and exec happen once per
+#: shape).
 _FACTORY: dict = {}
 
-#: How many times stage_source() or drm_source() actually ran in this
+#: How many times _factory_for generated a shape's source in this
 #: process.
 _EMITTED = 0
 
@@ -45,38 +41,24 @@ def emitted_count() -> int:
     return _EMITTED
 
 
-def source_for(shape, cache: Optional[ArtifactCache] = None) -> str:
+def source_for(shape) -> str:
     """The generated source for a :class:`StageShape` or
-    :class:`DrmShape`, via the artifact cache.
-
-    A hit (memory or disk) returns the cached text without invoking the
-    emitter; a miss generates, stores, and counts one emission.
-    """
-    global _EMITTED
-    if cache is None:
-        cache = get_artifact_cache()
-    key = shape.key()
-    entry = cache.get("codegen", key)
-    if entry is not None:
-        return entry["source"]
+    :class:`DrmShape` (pure: each call generates it afresh)."""
     emit = drm_source if isinstance(shape, DrmShape) else stage_source
-    source = emit(shape)
-    _EMITTED += 1
-    cache.put("codegen", key, {"source": source,
-                               **dataclasses.asdict(shape)})
-    return source
+    return emit(shape)
 
 
 def _factory_for(shape) -> Callable:
-    key = shape.key()
-    factory = _FACTORY.get(key)
+    global _EMITTED
+    factory = _FACTORY.get(shape)
     if factory is None:
         source = source_for(shape)
+        _EMITTED += 1
         code = compile(source, f"<repro.codegen:{shape.name}>", "exec")
         namespace: dict = {}
         exec(code, namespace)
         factory = namespace["make_step"]
-        _FACTORY[key] = factory
+        _FACTORY[shape] = factory
     return factory
 
 

@@ -199,8 +199,8 @@ def build_cgra_program(prepared: PreparedInput, config: SystemConfig,
 
     Pure function of its arguments — repeated compiles of the same
     prepared input and config produce equivalent programs, which is
-    what lets the artifact cache (stage-DFG mappings, generated
-    step-function source) reuse products across runs."""
+    what lets the process's memos (stage-DFG mappings, compiled
+    step-functions) reuse products across runs."""
     app, data = prepared.app, prepared.data
     module = get_workload(app)
     if app in GRAPH_APPS:

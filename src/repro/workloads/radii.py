@@ -18,8 +18,14 @@ from repro.workloads.common import GraphPipelineWorkload
 
 
 def _sample_sources(n: int, k: int, seed: int) -> np.ndarray:
+    """``min(k, n)`` distinct source vertices. Each owns one bit of a
+    64-bit visited mask, so at most 64 may be sampled."""
+    size = min(k, n)
+    if size > 64:
+        raise ValueError(f"radii samples at most 64 sources (one bit "
+                         f"of a 64-bit mask each), got k={k}")
     rng = np.random.default_rng(seed)
-    return rng.choice(n, size=min(k, n), replace=False).astype(np.int64)
+    return rng.choice(n, size=size, replace=False).astype(np.int64)
 
 
 def radii_reference(graph: CSRGraph, k: int = 64, seed: int = 7,
@@ -34,12 +40,9 @@ def radii_reference(graph: CSRGraph, k: int = 64, seed: int = 7,
     n = graph.n_vertices
     offsets = graph.offsets.tolist()
     neighbors = graph.neighbors.tolist()
-    sources = _sample_sources(n, k, seed).tolist()
     # Masks are Python ints; with at most 64 sources every mask stays
     # below 2**64, as in the pipeline's uint64 words.
-    if len(sources) > 64:
-        raise ValueError(f"radii samples at most 64 sources (one bit "
-                         f"of a 64-bit mask each), got k={k}")
+    sources = _sample_sources(n, k, seed).tolist()
     visited = [0] * n
     next_visited = [0] * n
     radii = [-1] * n

@@ -1,4 +1,4 @@
-"""The compiled-artifact cache: content addressing, reuse, invalidation.
+"""Compiled artifacts: content addressing and the in-process memo.
 
 Locks the tentpole properties of :mod:`repro.cache`:
 
@@ -7,22 +7,35 @@ Locks the tentpole properties of :mod:`repro.cache`:
 * any observable edit to a kernel — constant, predicate, init
   function — changes its fingerprint (``repro advise --apply``
   compares the hand-marked and auto-split kernels by it);
-* the disk layer survives process boundaries (modeled as fresh cache
-  instances), tolerates corruption, and namespaces by code version;
-* ``repro cache stats|gc`` reports and prunes the disk layer.
+* nothing outlives the process: the memo takes no root, and a run
+  writes no file under ``REPRO_CACHE_DIR`` or ``HOME``.
 """
 
-import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.cache import (ArtifactCache, callable_fingerprint,
-                         code_version, kernel_fingerprint, mapping_key)
+                         configure_artifact_cache, get_artifact_cache,
+                         kernel_fingerprint, mapping_key)
 from repro.cgra import FabricSpec, map_dfg, map_dfg_cached
 from repro.config import FabricConfig
 from repro.frontend.kernel import GraphKernel
 from repro.frontend.kernels import bfs_kernel, cc_kernel, sssp_kernel
 from repro.ir import DFGBuilder
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty process-wide memo; the test's own is restored after."""
+    monkeypatch.setattr("repro.cache.artifacts._GLOBAL", ArtifactCache())
+    return get_artifact_cache()
 
 
 def _fabric():
@@ -112,12 +125,8 @@ class TestFingerprints:
         assert (mapping_key(_dfg(), fabric, 2)
                 != mapping_key(_dfg(), fabric, None))
 
-    def test_code_version_is_stable_hex(self):
-        assert code_version() == code_version()
-        assert len(code_version()) == 64
 
-
-# -- the two-layer store ---------------------------------------------------
+# -- the memo ------------------------------------------------------------
 
 
 class TestArtifactCache:
@@ -130,130 +139,51 @@ class TestArtifactCache:
                                   "mapping.store": 1,
                                   "mapping.hit": 1}
 
-    def test_disk_layer_survives_process_boundary(self, tmp_path):
-        key = "bb" * 32
-        first = ArtifactCache(root=tmp_path)
-        first.put("codegen", key, {"stages": [1, 2]})
-        # a new instance models a fresh process: memory empty, disk warm
-        second = ArtifactCache(root=tmp_path)
-        assert second.get("codegen", key) == {"stages": [1, 2]}
-        assert second.counters["codegen.disk_hit"] == 1
-        # and the entry was promoted into memory
-        assert second.get("codegen", key) == {"stages": [1, 2]}
-        assert second.counters["codegen.hit"] == 2
-        assert second.counters["codegen.disk_hit"] == 1
+    def test_configure_starts_an_empty_memo_without_a_root(self, memo,
+                                                           tmp_path):
+        memo.put("mapping", "key", "value")
+        fresh = configure_artifact_cache(None)
+        assert fresh is get_artifact_cache() and fresh is not memo
+        assert fresh.get("mapping", "key") is None
+        with pytest.raises(ValueError, match="in-memory only"):
+            configure_artifact_cache(tmp_path)
 
-    def test_corrupt_disk_entry_is_a_miss_and_removed(self, tmp_path):
-        key = "dd" * 32
-        cache = ArtifactCache(root=tmp_path)
-        cache.put("codegen", key, {"ok": True})
-        path = cache._disk_path("codegen", key)
-        path.write_bytes(b"{truncated")
-        fresh = ArtifactCache(root=tmp_path)
-        assert fresh.get("codegen", key) is None
-        assert fresh.counters["codegen.disk_read_error"] == 1
-        assert not path.exists()
-
-    def test_gc_prunes_stale_code_versions(self, tmp_path):
-        cache = ArtifactCache(root=tmp_path)
-        cache.put("codegen", "ee" * 32, {"v": 1})
-        stale = tmp_path / "artifacts" / ("0" * 16)
-        stale.mkdir(parents=True)
-        (stale / "junk.json").write_text("{}")
-        stats = cache.stats()
-        assert stats["disk"]["stale_versions"] == 1
-        removed = cache.gc()
-        assert removed["removed_dirs"] == 1
-        assert cache.stats()["disk"]["stale_versions"] == 0
-        assert cache.get("codegen", "ee" * 32) == {"v": 1}
-        removed = cache.gc(all_versions=True)
-        assert removed["removed_dirs"] == 1
-        assert ArtifactCache(root=tmp_path).get("codegen",
-                                                "ee" * 32) is None
+    def test_run_writes_no_file(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC), HOME=str(tmp_path),
+                   REPRO_CACHE_DIR=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "bfs", "Hu",
+             "--scale", "0.05"], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- reuse oracles: no re-mapping ------------------------------------------
 
 
 class TestCompileReuse:
-    def test_repeat_mapping_performs_no_placement(self, monkeypatch):
-        cache = ArtifactCache()
+    def test_repeat_mapping_performs_no_placement(self, memo, monkeypatch):
         fabric = _fabric()
-        first = map_dfg_cached(_dfg(), fabric, cache=cache)
-        assert cache.counters == {"mapping.miss": 1, "mapping.store": 1}
+        first = map_dfg_cached(_dfg(), fabric)
+        assert memo.counters == {"mapping.miss": 1, "mapping.store": 1}
 
         def boom(dfg, fabric, max_replication=None):
             raise AssertionError("placement ran on a warm cache")
 
         monkeypatch.setattr("repro.cgra.mapper.map_dfg", boom)
-        second = map_dfg_cached(_dfg(), fabric, cache=cache)
-        assert cache.counters["mapping.hit"] == 1
+        second = map_dfg_cached(_dfg(), fabric)
+        assert memo.counters["mapping.hit"] == 1
         assert second is first
 
-    def test_mapping_cache_distinguishes_replication_caps(self):
-        cache = ArtifactCache()
+    def test_mapping_cache_distinguishes_replication_caps(self, memo):
         fabric = _fabric()
-        map_dfg_cached(_dfg(), fabric, cache=cache)
-        map_dfg_cached(_dfg(), fabric, max_replication=1, cache=cache)
-        assert cache.counters["mapping.miss"] == 2
+        map_dfg_cached(_dfg(), fabric)
+        map_dfg_cached(_dfg(), fabric, max_replication=1)
+        assert memo.counters["mapping.miss"] == 2
 
-    def test_cached_mapping_equals_uncached(self):
-        cache = ArtifactCache()
+    def test_cached_mapping_equals_uncached(self, memo):
         fabric = _fabric()
-        cached = map_dfg_cached(_dfg(), fabric, cache=cache)
+        cached = map_dfg_cached(_dfg(), fabric)
         direct = map_dfg(_dfg(), fabric)
         assert cached.render() == direct.render()
-
-    def test_mapping_persists_across_processes(self, tmp_path):
-        fabric = _fabric()
-        first = ArtifactCache(root=tmp_path)
-        map_dfg_cached(_dfg(), fabric, cache=first)
-        fresh = ArtifactCache(root=tmp_path)
-        map_dfg_cached(_dfg(), fabric, cache=fresh)
-        assert fresh.counters["mapping.disk_hit"] == 1
-
-
-class TestCacheCli:
-    def test_stats_and_gc(self, tmp_path, monkeypatch, capsys):
-        from repro.cache import configure_artifact_cache
-        from repro.cli import main as cli_main
-
-        def cache_cli(*argv):
-            assert cli_main(["cache", *argv,
-                             "--cache-dir", str(tmp_path)]) == 0
-            return json.loads(capsys.readouterr().out)
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        configure_artifact_cache(tmp_path)
-        try:
-            assert cli_main(["run", "bfs", "Hu", "--scale", "0.05"]) == 0
-            capsys.readouterr()
-            stats = cache_cli("stats")
-            assert set(stats) == {"root", "artifacts"}
-            assert stats["artifacts"]["disk"]["entries"] > 0
-            assert cache_cli("gc", "--all")["artifacts"]["removed_dirs"] == 1
-            assert cache_cli("stats")["artifacts"]["disk"]["entries"] == 0
-        finally:
-            configure_artifact_cache(None)
-
-    def test_default_root_is_the_one_inspected(self, tmp_path, monkeypatch,
-                                               capsys):
-        # With neither --cache-dir nor REPRO_CACHE_DIR, stats and gc
-        # printed ~/.cache/repro but read the memory-only process cache.
-        from repro.cli import main as cli_main
-
-        monkeypatch.setenv("HOME", str(tmp_path))
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        root = tmp_path / ".cache" / "repro"
-        ArtifactCache(root=root).put("codegen", "ab" * 32, {"source": ""})
-
-        def cache_cli(*argv):
-            assert cli_main(["cache", *argv]) == 0
-            return json.loads(capsys.readouterr().out)
-
-        stats = cache_cli("stats")
-        assert stats["root"] == str(root)
-        assert stats["artifacts"]["disk"]["entries"] == 1
-        assert cache_cli("gc", "--all")["artifacts"]["removed_dirs"] == 1
-        assert list((root / "artifacts").iterdir()) == []
-        assert cache_cli("stats")["artifacts"]["disk"]["entries"] == 0

@@ -1,14 +1,12 @@
-"""The codegen backend: determinism and caching.
+"""The codegen backend: determinism and the compiled-code memo.
 
 Locks the properties of :mod:`repro.codegen`:
 
 * source generation is **deterministic** — the interp stage shape and
-  every DRM shape emit byte-identical Python, so the text
-  content-addresses cleanly under the artifact cache's ``codegen``
-  kind;
-* a warm cache performs **zero source generation** (emission counter
-  plus a raising stub prove it), both within a process and across a
-  process boundary via the disk layer.
+  every DRM shape emit byte-identical Python, so a shape can key the
+  memo of compiled step-functions;
+* a warm run performs **zero source generation and placement**
+  (emission counter plus raising stubs prove it).
 
 The generated code's behaviour is checked call by call against its
 oracles in tests/test_interp_codegen.py and tests/test_drm_codegen.py.
@@ -16,9 +14,9 @@ oracles in tests/test_interp_codegen.py and tests/test_drm_codegen.py.
 
 import pytest
 
-from repro.cache.artifacts import ArtifactCache
-from repro.codegen import (CODEGEN_VERSION, INTERP, DrmShape, drm_source,
-                           emitted_count, source_for, stage_source)
+from repro.codegen import (INTERP, DrmShape, drm_source, emitted_count,
+                           source_for, stage_source)
+from repro.codegen.runtime import _factory_for
 from repro.harness import prepare_input, run_experiment
 
 #: The interp stage shape and a spread of DRM shapes.
@@ -47,19 +45,13 @@ class TestDeterminism:
         for shape in SHAPES:
             again = type(shape)(**vars(shape))
             assert _emit(shape) == _emit(again)
-            assert shape.key() == again.key()
+            assert shape == again and hash(shape) == hash(again)
 
     def test_distinct_shapes_distinct_sources(self):
-        assert len({shape.key() for shape in SHAPES}) == len(SHAPES)
+        assert len({shape.name for shape in SHAPES}) == len(SHAPES)
         assert len({_emit(shape) for shape in SHAPES}) == len(SHAPES)
-
-    def test_key_is_versioned(self):
         for shape in SHAPES:
-            assert f" v={CODEGEN_VERSION}\n" in _emit(shape)
-            # The key is a stable hex digest (cache addressing).
-            key = shape.key()
-            assert key == shape.key()
-            int(key, 16)
+            assert f"# shape: {shape.name}\n" in _emit(shape)
 
     def test_shards_share_shapes(self, bfs_prepared, monkeypatch):
         """Every stage of every shard binds the one interp factory, so a
@@ -87,44 +79,32 @@ class TestDeterminism:
             assert callable(namespace["make_step"]), shape.name
 
 
-# -- caching: warm runs perform zero source generation --------------------
+# -- the memo: warm runs perform zero source generation ------------------
 
 
 class TestCaching:
 
-    def test_miss_store_hit_counters(self, tmp_path):
-        cache = ArtifactCache(root=tmp_path)
+    def test_miss_store_hit_counters(self, monkeypatch):
+        """A miss generates, compiles and stores one factory per shape;
+        a hit returns it without generating."""
+        monkeypatch.setattr("repro.codegen.runtime._FACTORY", {})
         before = emitted_count()
-        first = source_for(INTERP, cache)
+        first = _factory_for(INTERP)
         assert emitted_count() == before + 1
-        assert cache.counters["codegen.miss"] == 1
-        assert cache.counters["codegen.store"] == 1
-        second = source_for(INTERP, cache)
-        assert second == first
-        assert cache.counters["codegen.hit"] == 1
+        assert _factory_for(INTERP) is first
         assert emitted_count() == before + 1  # no second generation
-
-    def test_disk_layer_survives_process_boundary(self, tmp_path,
-                                                  monkeypatch):
-        warm = ArtifactCache(root=tmp_path)
-        first = source_for(INTERP, warm)
-        # A "new process": fresh cache instance over the same root,
-        # with the emitter rigged to blow up if invoked.
-        def boom(_shape):
-            raise AssertionError("warm run generated source")
-        monkeypatch.setattr("repro.codegen.runtime.stage_source", boom)
-        fresh = ArtifactCache(root=tmp_path)
-        assert source_for(INTERP, fresh) == first
-        assert fresh.counters["codegen.disk_hit"] == 1
+        assert source_for(INTERP) == stage_source(INTERP)
+        assert emitted_count() == before + 1  # source_for is not counted
 
     def test_warm_bind_generates_nothing(self, bfs_prepared, monkeypatch):
-        """After one run, rebinding (a repeat run in the same process)
-        must not emit source, for stages or DRMs: the raising stubs
-        prove neither the artifact cache nor the factory cache falls
-        through."""
+        """After one run, a repeat run in the same process must neither
+        place a stage nor emit source, for stages or DRMs: the raising
+        stubs prove neither the mapping memo nor the compiled-code memo
+        falls through."""
         first = run_experiment("bfs", "Hu", "fifer", prepared=bfs_prepared)
-        def boom(_shape):
-            raise AssertionError("warm bind generated source")
+        def boom(*_args, **_kwargs):
+            raise AssertionError("warm run placed or generated")
+        monkeypatch.setattr("repro.cgra.mapper.map_dfg", boom)
         monkeypatch.setattr("repro.codegen.runtime.stage_source", boom)
         monkeypatch.setattr("repro.codegen.runtime.drm_source", boom)
         before = emitted_count()

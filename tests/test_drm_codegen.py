@@ -348,10 +348,11 @@ def test_shape_validation():
 
 def test_sources_are_deterministic_and_named():
     shapes = [case["shape"] for case in CASES.values()]
-    assert len({s.key() for s in shapes}) == len(set(shapes))
+    assert len({s.name for s in shapes}) == len(set(shapes))
+    assert len({drm_source(s) for s in shapes}) == len(set(shapes))
     for shape in shapes:
         assert drm_source(shape) == drm_source(shape)
-        assert f"# shape: {shape.name} " in drm_source(shape)
+        assert f"# shape: {shape.name}\n" in drm_source(shape)
         assert shape.name.startswith("drm.")
 
 

@@ -168,14 +168,6 @@ class TestCLI:
         assert "bfs/Hu/fifer/decoupled" in out
         assert "bfs/Hu/static/decoupled" in out
 
-    def test_report_rejects_empty_dir(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(["report", str(tmp_path)])
-
-    def test_compile_stage_out_of_range_rejected(self):
-        with pytest.raises(SystemExit, match="no stage 7"):
-            cli_main(["compile", "bfs", "--stage", "7"])
-
     def test_unknown_input_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "bfs", "XX"])
@@ -241,16 +233,28 @@ class TestCLI:
           "--sample-period", "0"], "--sample-period: must be positive"),
         (["trace", "spmm", "FS", "--scale", "0.1", "--sample-period", "0",
           "--format", "gantt"], "--sample-period: must be positive"),
+        (["lint", "all", "Hu"], "lint all takes no INPUT argument"),
+        (["profile", "bfs", "Hu", "--what-if", "banana"],
+         "what-if spec 'banana' must look like STAGE=PERCENT"),
+        (["compile", "bfs", "--stage", "7"], "no stage 7"),
+        (["compile", "sssp", "--stage", "9"], "no stage 9; sssp has 4"),
+        (["report", "{empty}"], "no manifests found under"),
+        (["report", "{empty}/missing"], "no manifests found under"),
+        (["bench-diff", "{empty}/missing", "{empty}"], "not a directory"),
+        (["cache", "stats"], "invalid choice: 'cache'"),
     ]
 
     @pytest.mark.parametrize("argv,message", BAD_INPUT,
                              ids=[" ".join(case[0][:1] + case[0][-2:])
                                   for case in BAD_INPUT])
     def test_bad_input_rejected(self, argv, message, tmp_path, capsys):
-        # A plain file where the manifest directory's parent should be.
+        # A plain file where the manifest directory's parent should be,
+        # and a directory with no manifests.
         blocker = tmp_path / "file"
         blocker.write_text("")
-        argv = [arg.format(file=blocker) for arg in argv]
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = [arg.format(file=blocker, empty=empty) for arg in argv]
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
         assert excinfo.value.code == 2

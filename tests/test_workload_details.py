@@ -110,10 +110,18 @@ class TestRadiiDetails:
         # mask changed); it can never be unreached.
         assert all(result[s] >= 0 for s in sources)
 
-    def test_at_most_64_sources(self):
+    def test_at_most_64_sources(self, monkeypatch):
+        from repro.harness import run
         graph = uniform_random_graph(100, 4.0, seed=14)
         with pytest.raises(ValueError, match="at most 64 sources"):
             radii.radii_reference(graph, k=65)
+        with pytest.raises(ValueError, match="at most 64 sources"):
+            radii.build(graph, SystemConfig(), "fifer", k=65)
+        # The OOO kernel samples RADII_SOURCES the same way.
+        monkeypatch.setattr(run, "RADII_SOURCES", 65)
+        prepared = run.PreparedInput("radii", "Hu", graph, None)
+        with pytest.raises(ValueError, match="at most 64 sources"):
+            run._ooo_kernel(prepared, n_cores=4)
         # Fewer vertices than k: every vertex is a source, one bit each.
         small = uniform_random_graph(40, 4.0, seed=14)
         assert (radii.radii_reference(small, k=65) >= 0).all()
