@@ -1,25 +1,21 @@
-"""Python source-generation backend (closure codegen).
+"""Step-functions for the fast engine.
 
 Every ``engine="fast"`` run drives each stage's coroutine with the one
-generic step-function shape, :data:`INTERP`: PE._execute's request loop
-with the request protocol and SIMD cost model inlined. DRMs compile
-the same way, one step-function per :class:`DrmShape`. The ``naive``
-engine keeps ``PE._execute`` and the ``DRM.run`` ladder as the oracles
-of both.
+hand-written request loop, :func:`make_interp_step`: PE._execute's
+loop with the request protocol and SIMD cost model inlined. DRMs run
+a step-function generated per :class:`DrmShape`. The ``naive`` engine
+keeps ``PE._execute`` and the ``DRM.run`` ladder as the oracles of
+both.
 """
 
-from repro.codegen.emit import (INTERP, DrmShape, StageShape, drm_source,
-                                stage_source)
-from repro.codegen.runtime import (bind_system, drm_shape, emitted_count,
-                                   source_for)
+from repro.codegen.emit import DrmShape, drm_source
+from repro.codegen.interp import make_interp_step
+from repro.codegen.runtime import bind_system, drm_shape, emitted_count
 
 __all__ = [
-    "INTERP",
-    "StageShape",
     "DrmShape",
-    "stage_source",
     "drm_source",
-    "source_for",
+    "make_interp_step",
     "bind_system",
     "drm_shape",
     "emitted_count",

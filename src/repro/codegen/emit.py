@@ -1,70 +1,32 @@
-"""Deterministic Python source generation for pipeline stages and DRMs.
+"""Deterministic Python source generation for DRM step-functions.
 
-Every stage runs one generated step-function, the :data:`INTERP`
-shape: PE._execute's request loop over the stage's own coroutine, with
-the request protocol of ``PE._try_perform`` — and the queue transfer
-bodies of ``Queue.enq`` / ``Queue.deq`` — inlined, and counters, cost
-constants and the L1 bound as locals. Queue requests resolve their
-queue per request through ``pe._qcache``; dequeues, enqueues, loads
-and stores run inline. The rare requests (``try_deq``, ``peek``,
-``cycles``) go through the generic ``pe._try_perform``. The fast
-engine binds it to every stage.
+Because a DRM's configuration is fixed at initialization, the fast
+engine runs a DRM as a step-function generated for its
+:class:`DrmShape` (:func:`drm_source`), replaying the interpreted
+``DRM.run`` ladder. Every inlined fragment is a literal replica of the
+interpreted code it replaces (the fragment builders below name their
+originals), so ``DRM.run`` stays the oracle
+(tests/test_drm_codegen.py). Stages need no generated code: the one
+request loop they all run is written out in :mod:`repro.codegen.interp`.
 
-Exactness is structural: every inlined fragment is a literal replica
-of the interpreted code it replaces (the fragment builders below name
-their originals), including counter update order and key creation
-order, probe emission guards, credit bookkeeping, the zero-cost
-livelock guard, and the budget-before-satisfiability check ordering.
-``PE._execute`` stays the oracle (tests/test_interp_codegen.py).
-
-The step-function keeps its state where the interpreter does: in the
-coroutine and ``stage.pending``. A blocked or budget-exhausted request
-stays in ``stage.pending`` exactly as the interpreter leaves it, so
-schedulers, deadlock reports, and quiescence checks observe identical
-state.
-
-A step-function takes its owners as call arguments,
-``step(pe, stage, budget)`` for a stage and ``step(drm, budget)`` for a
-DRM. ``make_step`` binds only per-run constants into its closure:
-queues, caches, counter dicts and numbers, never a PE, stage or DRM or
-a bound method of one. So no owner is reachable from its own
-step-function, and a finished run's objects are freed by reference
-counting alone (docs/performance.md, "Object lifetimes").
+A step-function takes its owner as a call argument,
+``step(drm, budget)``. ``make_step`` binds only per-run constants into
+its closure: queues, caches and numbers, never the DRM or a bound
+method of it. So no DRM is reachable from its own step-function, and a
+finished run's objects are freed by reference counting alone
+(docs/performance.md, "Object lifetimes").
 
 Source text is a pure function of the shape — it never embeds queue
 names, shard ids, or addresses (those bind at ``make_step`` time) — so
-one compiled step-function serves every stage of every workload. See
-:mod:`repro.codegen.runtime` for compiling and binding.
-
-DRMs compile the same way, one step-function per :class:`DrmShape`
-(:func:`drm_source`), replaying the interpreted ``DRM.run`` ladder.
-Both emitters assemble their hot paths from the same fragment
-functions for the queue transfer, the L1-hit path and the memory-map
-read, so each inlined primitive has one source text.
+one compiled step-function serves every DRM of that shape in every
+workload. See :mod:`repro.codegen.runtime` for compiling and binding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
-
-@dataclass(frozen=True)
-class StageShape:
-    """The one stage shape (:data:`INTERP`): the generic request loop
-    over a stage's coroutine. It has no axes; like a :class:`DrmShape`
-    it keys the compiled-code memo and names the generated code
-    (``<repro.codegen:NAME>``)."""
-
-    name: ClassVar[str] = "interp"
-
-
-#: The step-function shape the fast engine binds to every stage.
-INTERP = StageShape()
-
-
-#: DRM modes with a generated step-function; strided DRMs keep the
-#: interpreted ladder of :class:`repro.core.drm.DRM`.
+#: DRM modes with a generated step-function.
 DRM_MODES = ("deref", "scan")
 
 
@@ -115,80 +77,69 @@ class DrmShape:
 #
 # The generated code is assembled from small text fragments. Every
 # fragment mirrors a specific piece of the interpreted hot path
-# (PE._try_perform / PE._execute / StageInstance.io_cost / Queue.enq /
-# Queue.deq) — comments below name the mirrored code so drift is
-# auditable. The stage template is an f-string, so the text it emits
-# contains no ``{``/``}``.
+# (DRM.run / DRM._access_cost / Cache.access / MemoryMap.read /
+# Queue.enq / Queue.deq) — comments below name the mirrored code so
+# drift is auditable.
 
 
 def _pad(indent: int) -> str:
     return " " * indent
 
 
-def _header(shape, emitter: str) -> str:
+def _header(shape: DrmShape) -> str:
     return (
         "# Generated by repro.codegen — specialized step-function.\n"
         f"# shape: {shape.name}\n"
-        f"# Do not edit: regenerate via repro.codegen.emit.{emitter}.\n"
+        "# Do not edit: regenerate via repro.codegen.emit.drm_source.\n"
     )
 
 
-# -- shared primitives -------------------------------------------------------
+# -- queue transfers ---------------------------------------------------------
 #
-# One source text per inlined primitive: the stage emitter and the DRM
-# emitter both build their hot paths from these three. Each takes its
-# queue by prefix ``q`` and expects the locals ``q_<q>``, ``<q>_tok``,
-# ``<q>_credits`` and ``<Q>_NAME`` (bound at bind time, or per request
-# by the request loop, which passes the name expression instead).
+# Each takes its queue by prefix ``q`` and expects the locals ``q_<q>``,
+# ``<q>_tok``, ``<q>_words``, ``<q>_credits`` and ``<Q>_NAME`` (bound at
+# bind time, or per token for a routed output).
 
 
 def _credit(pad: str, q: str, producer: str, op: str, words: str,
-            credited) -> list:
-    """The credit bookkeeping of Queue.enq (``-=``) / Queue.deq (``+=``).
-    ``credited`` fixes the queue's flow-control arm at emission time;
-    ``None`` keeps the queue methods' runtime ``_credits`` test."""
-    if credited is None:
-        return [f"{pad}if {q}_credits is not None:",
-                f"{pad}    {q}_credits[{producer}] {op} {words}"]
+            credited: bool) -> list:
+    """The credit bookkeeping of Queue.enq (``-=``) / Queue.deq (``+=``),
+    whose flow-control arm ``credited`` fixes at emission time."""
     return [f"{pad}{q}_credits[{producer}] {op} {words}"] if credited else []
 
 
-def _queue_deq(indent: int, q: str, words: str, credited=None,
-               name: str = "") -> list:
-    """Queue.deq's transfer, minus the emptiness raise the caller's gate
-    already ruled out: pop the head into ``token``, release ``tw``
-    (``words``, evaluated after the pop so it may inspect ``token``),
-    refund the producer's credit, probe. ``name`` is the expression of
-    the queue's name (default: the bind-time ``<Q>_NAME``)."""
+def _queue_deq(indent: int, q: str, credited: bool) -> list:
+    """Queue.deq's transfer of a data token, minus the emptiness raise
+    the caller's gate already ruled out: pop the head into ``token``,
+    release its words, refund the producer's credit, probe."""
     pad = _pad(indent)
-    name = name or f"{q.upper()}_NAME"
     return [
         f"{pad}token = {q}_tok.popleft()",
-        f"{pad}tw = {words}",
+        f"{pad}tw = {q}_words",
         f"{pad}q_{q}._occupancy_words -= tw",
         *_credit(pad, q, "token.producer", "+=", "tw", credited),
         f"{pad}qp = q_{q}.probe",
         f'{pad}if qp is not None and "queue.deq" in qp.bus.wants:',
-        f'{pad}    qp.emit("queue.deq", queue={name}, words=tw,',
+        f'{pad}    qp.emit("queue.deq", queue={q.upper()}_NAME, words=tw,',
         f"{pad}            occupancy=q_{q}._occupancy_words)",
     ]
 
 
-def _queue_enq(indent: int, q: str, value: str, ctl: str, words: str,
-               credited=None, reuse: bool = False, name: str = "") -> list:
-    """Queue.enq's transfer, minus the full-queue raise the caller's gate
-    already ruled out: credit debit, token append, occupancy,
-    total_enqueued, probe. ``reuse`` refills the just-dequeued data
-    ``token`` instead of allocating one (nothing else holds it);
-    ``name`` as for :func:`_queue_deq`."""
+def _queue_enq(indent: int, q: str, value: str, credited: bool,
+               reuse: bool = False) -> list:
+    """Queue.enq's transfer of a data token, minus the full-queue raise
+    the caller's gate already ruled out: credit debit, token append,
+    occupancy, total_enqueued, probe. ``reuse`` refills the
+    just-dequeued ``token`` instead of allocating one (nothing else
+    holds it)."""
     pad = _pad(indent)
-    name = name or f"{q.upper()}_NAME"
+    words = f"{q}_words"
     if reuse:
         append = [f"{pad}token.value = {value}",
                   f"{pad}token.producer = producer",
                   f"{pad}{q}_tok.append(token)"]
     else:
-        append = [f"{pad}{q}_tok.append(Token({value}, {ctl}, producer))"]
+        append = [f"{pad}{q}_tok.append(Token({value}, False, producer))"]
     return [
         *_credit(pad, q, "producer", "-=", words, credited),
         *append,
@@ -196,26 +147,24 @@ def _queue_enq(indent: int, q: str, value: str, ctl: str, words: str,
         f"{pad}q_{q}.total_enqueued += 1",
         f"{pad}qp = q_{q}.probe",
         f'{pad}if qp is not None and "queue.enq" in qp.bus.wants:',
-        f'{pad}    qp.emit("queue.enq", queue={name}, words={words},',
-        f"{pad}            occupancy=q_{q}._occupancy_words, control={ctl})",
+        f'{pad}    qp.emit("queue.enq", queue={q.upper()}_NAME, '
+        f"words={words},",
+        f"{pad}            occupancy=q_{q}._occupancy_words, control=False)",
     ]
 
 
-def _l1_hit(indent: int, addr: str, hits: str = "l1.hits",
-            write: bool = False) -> list:
-    """The head of Cache.access's L1-hit path, verbatim: the set lookup,
-    the hit count and the LRU move-to-MRU (write-allocate dirty marking
-    for stores). It opens an ``if``: the caller finishes the hit arm and
+def _l1_hit(indent: int, addr: str) -> list:
+    """The head of Cache.access's L1-hit path for a load, verbatim: the
+    set lookup, the hit count (in the local ``hits``) and the LRU
+    move-to-MRU. It opens an ``if``: the caller finishes the hit arm and
     writes the ``else:`` that takes the full method on a miss."""
     pad = _pad(indent)
-    mru = ([f"{pad}    cset.pop(line)", f"{pad}    cset[line] = True"]
-           if write else [f"{pad}    cset[line] = cset.pop(line)"])
     return [
         f"{pad}line = {addr} >> l1_shift",
         f"{pad}cset = l1_sets[line & l1_mask]",
         f"{pad}if line in cset:",
-        f"{pad}    {hits} += 1",
-        *mru,
+        f"{pad}    hits += 1",
+        f"{pad}    cset[line] = cset.pop(line)",
     ]
 
 
@@ -233,298 +182,6 @@ def _region_read(indent: int, slot: int, addr: str, out: str) -> list:
         f"{pad}    {out} = read({addr})",
         f"{pad}    lo{s}, hi{s}, eb{s}, _, arr{s} = mm._last",
     ]
-
-
-def _carry(indent: int) -> str:
-    """Load the carried state at step entry: the SIMD I/O totals and the
-    counter totals. ``c_dirty`` marks ``issued`` written; ``t_dirty``
-    marks a dequeue, which writes ``tokens`` and ``fabric_ops`` too."""
-    pad = _pad(indent)
-    return "\n".join([
-        f"{pad}wd = stage.work_deq",
-        f"{pad}we = stage.work_enq",
-        f'{pad}c_iss = counters.get("issued", 0.0)',
-        f'{pad}c_tok = counters.get("tokens", 0.0)',
-        f'{pad}c_fab = counters.get("fabric_ops", 0.0)',
-        f"{pad}c_dirty = t_dirty = False",
-    ])
-
-
-def _flush_counters(indent: int, reset: bool = False) -> str:
-    """Write the locally-carried counter totals back to pe.counters.
-
-    The locals carry the same running totals the interpreter keeps in
-    the dict (same left-fold order, so bit-exact). The dirty flags gate
-    the writeback so a step creates exactly the keys the interpreter
-    would have created, in its order: an enqueue or ``cycles`` request
-    writes only ``issued``, a dequeue all three.
-    """
-    pad = _pad(indent)
-    lines = [
-        f"{pad}if t_dirty:",
-        f'{pad}    counters["issued"] = c_iss',
-        f'{pad}    counters["tokens"] = c_tok',
-        f'{pad}    counters["fabric_ops"] = c_fab',
-        f"{pad}elif c_dirty:",
-        f'{pad}    counters["issued"] = c_iss',
-    ]
-    if reset:
-        lines.append(f"{pad}c_dirty = t_dirty = False")
-    return "\n".join(lines)
-
-
-def _save(indent: int) -> str:
-    """Suspend: leave the request ``req`` pending (the coroutine holds
-    the rest of the stage's state) and write back the counter totals
-    and the running SIMD I/O totals."""
-    pad = _pad(indent)
-    return "\n".join([
-        _flush_counters(indent),
-        f"{pad}stage.pending = req",
-        f"{pad}stage.work_deq = wd",
-        f"{pad}stage.work_enq = we",
-        f"{pad}return spent",
-    ])
-
-
-def _finish(indent: int) -> str:
-    """Terminal exit: the interpreter's StopIteration epilogue."""
-    pad = _pad(indent)
-    return "\n".join([
-        _flush_counters(indent),
-        f"{pad}stage.pending = None",
-        f"{pad}stage.done = True",
-        f"{pad}stage.work_deq = wd",
-        f"{pad}stage.work_enq = we",
-        f"{pad}return spent",
-    ])
-
-
-def _streak(indent: int) -> str:
-    """Mirrors PE._execute's zero-cost livelock guard (counters and
-    pending are left exactly as the interpreter leaves them)."""
-    pad = _pad(indent)
-    return "\n".join([
-        f"{pad}zero_streak = 0 if cost > 0 else zero_streak + 1",
-        f"{pad}if zero_streak > 1000000:",
-        _flush_counters(indent + 4),
-        f"{pad}    stage.pending = req",
-        f"{pad}    stage.work_deq = wd",
-        f"{pad}    stage.work_enq = we",
-        f"{pad}    raise LivelockError(",
-        f'{pad}        "stage %r on PE %s issued 1M zero-cost requests"',
-        f"{pad}        % (stage_name, pe_id))",
-    ])
-
-
-def _io_cost(indent: int, side: str, control: str) -> list:
-    """StageInstance.io_cost open-coded against the bind-time constants
-    ``ctl_inc`` / ``inv_r``: ``side`` is the running total a data token
-    advances (``wd`` dequeue, ``we`` enqueue); ``control`` is the
-    expression that is true for a control token."""
-    pad = _pad(indent)
-    return [
-        f"{pad}if {control}:",
-        f"{pad}    top = (wd if wd >= we else we) + ctl_inc",
-        f"{pad}    wd = we = top",
-        f"{pad}    cost = ctl_inc",
-        f"{pad}else:",
-        f"{pad}    before = wd if wd >= we else we",
-        f"{pad}    {side} += inv_r",
-        f"{pad}    cost = (wd if wd >= we else we) - before",
-    ]
-
-
-def _deq_cost(indent: int) -> list:
-    """PE._try_perform's "deq" accounting after the transfer."""
-    pad = _pad(indent)
-    return [
-        *_io_cost(indent, "wd", "token.is_control"),
-        f"{pad}spent += cost",
-        f"{pad}c_iss += cost",
-        f"{pad}c_tok += 1.0",
-        f"{pad}c_fab += n_ops",
-        f"{pad}t_dirty = True",
-    ]
-
-
-def _enq_cost(indent: int) -> list:
-    """PE._try_perform's "enq" accounting after the transfer."""
-    pad = _pad(indent)
-    return [
-        *_io_cost(indent, "we", "rq_ctl"),
-        f"{pad}spent += cost",
-        f"{pad}c_iss += cost",
-        f"{pad}c_dirty = True",
-    ]
-
-
-def _request_loop(indent: int) -> str:
-    """Drive the stage's coroutine one request at a time: PE._execute's
-    loop with PE._try_perform's arms inlined. Expects ``send`` (the
-    coroutine's ``send``), ``req`` (the pending request, or None to
-    fetch the next) and ``res`` (what to send).
-
-    Queue requests resolve their queue per request through
-    ``pe._qcache`` and inline the Queue.deq / Queue.enq transfers;
-    loads and stores inline the L1-hit path and take the full
-    Cache.access on a miss. The rare kinds (try_deq, peek, cycles, and
-    unknown ones, which raise there) flush the carried totals and take
-    the generic ``pe._try_perform``.
-    """
-    pad = _pad(indent)
-    p8, p12 = pad + " " * 4, pad + " " * 8
-    return "\n".join([
-        f"{pad}while True:",
-        f"{pad}    if req is None:",
-        f"{pad}        try:",
-        f"{pad}            req = send(res)",
-        f"{pad}        except StopIteration:",
-        _finish(indent + 12),
-        f"{pad}    if spent >= budget:",
-        _save(indent + 8),
-        f"{pad}    kind = req[0]",
-        f'{pad}    if kind == "deq":',
-        f"{p12}q_rq = qget(req[1])",
-        f"{p12}if q_rq is None:",
-        f"{p12}    q_rq = pe._queue(req[1])",
-        f"{p12}rq_tok = q_rq._tokens",
-        f"{p12}if not rq_tok:",
-        _save(indent + 12),
-        f"{p12}rq_credits = q_rq._credits",
-        *_queue_deq(indent + 8, "rq",
-                    "1 if token.is_control else q_rq.entry_words",
-                    name="q_rq.name"),
-        *_deq_cost(indent + 8),
-        f"{p12}res = token",
-        f'{pad}    elif kind == "enq":',
-        f"{p12}_, rq_name, rq_value, rq_ctl = req",
-        f"{p12}q_rq = qget(rq_name)",
-        f"{p12}if q_rq is None:",
-        f"{p12}    q_rq = pe._queue(rq_name)",
-        f"{p12}rq_credits = q_rq._credits",
-        f"{p12}words = 1 if rq_ctl else q_rq.entry_words",
-        f"{p12}if rq_credits is None:",
-        f"{p12}    if q_rq.capacity_words - q_rq._occupancy_words < words:",
-        _save(indent + 16),
-        f"{p12}elif not q_rq.can_enq(producer, rq_ctl):",
-        _save(indent + 12),
-        f"{p12}rq_tok = q_rq._tokens",
-        *_queue_enq(indent + 8, "rq", "rq_value", "rq_ctl", "words",
-                    name="q_rq.name"),
-        *_enq_cost(indent + 8),
-        f"{p12}res = None",
-        # Misses take the full Cache.access; a hit's latency equals
-        # l1_lat, so its stall is zero.
-        f'{pad}    elif kind == "load":',
-        f"{p12}a = req[1]",
-        f"{p12}res = None",
-        *_l1_hit(indent + 8, "a"),
-        f"{p12}    cost = 0.0",
-        f"{p12}else:",
-        f"{p12}    stall = l1_access(a) - l1_lat",
-        f"{p12}    if stall > 0.0:",
-        # Flush before creating stall_mem so counter keys appear in
-        # the dict in the same order the interpreter creates them.
-        _flush_counters(indent + 16, reset=True),
-        f'{p12}        counters["stall_mem"] = ('
-        f'counters.get("stall_mem", 0.0) + stall)',
-        f"{p12}        pp = pe.probe",
-        f'{p12}        if pp is not None and "pe.stall" in pp.bus.wants:',
-        f'{p12}            pp.emit("pe.stall", cycle=pe.now, pe=pe_id,',
-        f'{p12}                    bucket="stall_mem", cycles=stall,',
-        f"{p12}                    stage=stage_name)",
-        f"{p12}        cost = stall",
-        f"{p12}    else:",
-        f"{p12}        cost = 0.0",
-        f"{p12}spent += cost",
-        f'{pad}    elif kind == "store":',
-        f"{p12}a = req[1]",
-        *_l1_hit(indent + 8, "a", write=True),
-        f"{p12}else:",
-        f"{p12}    l1_access(a, write=True)",
-        f"{p12}res = None",
-        f"{p12}cost = 0.0",
-        f"{pad}    else:",
-        # try_perform reads and writes pe.counters and the SIMD totals
-        # directly: flush the carried ones first, reload after.
-        _flush_counters(indent + 8, reset=True),
-        f"{p12}stage.work_deq = wd",
-        f"{p12}stage.work_enq = we",
-        f"{p12}outcome = pe._try_perform(stage, req)",
-        f"{p12}wd = stage.work_deq",
-        f"{p12}we = stage.work_enq",
-        f'{p12}c_iss = counters.get("issued", 0.0)',
-        f'{p12}c_tok = counters.get("tokens", 0.0)',
-        f'{p12}c_fab = counters.get("fabric_ops", 0.0)',
-        f"{p12}if outcome is None:",
-        _save(indent + 12),
-        f"{p12}res, cost = outcome",
-        f"{p12}spent += cost",
-        _streak(indent + 4),
-        f"{p8}req = None",
-    ])
-
-
-# The step-function's bind-time locals: the stage's cost constants, the
-# PE's counters and queue cache, and the L1. The PE and the stage
-# themselves arrive as arguments of each call.
-_INTERP_PREAMBLE = '''\
-from repro.core.pe import StageLivelockError as LivelockError
-from repro.queues.queue import Token
-
-
-def make_step(pe, stage):
-    ctx = stage.ctx
-    producer = ctx.producer_key
-    counters = pe.counters
-    qget = pe._qcache.get
-    n_ops = stage.mapping.n_compute_ops
-    speed = stage.speed
-    # Bind-time constants of StageInstance.io_cost: control tokens cost
-    # ctl_inc serially; data tokens cost 1/R against the running max.
-    ctl_inc = 1.0 if speed == 1.0 else 1.0 / speed
-    r = stage.mapping.replication
-    if speed != 1.0:
-        r = r * speed
-    inv_r = 1 / r
-    l1 = pe.l1
-    l1_access = l1.access
-    l1_lat = l1._latency
-    l1_sets = l1._sets
-    l1_shift = l1._line_shift
-    l1_mask = l1._set_mask
-    pe_id = pe.pe_id
-    stage_name = stage.spec.name
-'''
-
-
-def stage_source(shape: StageShape) -> str:
-    """Emit the step-function source for ``shape`` (:data:`INTERP`):
-    PE._execute over the stage's own coroutine, every request through
-    :func:`_request_loop`.
-
-    Pure and deterministic: equal shapes produce byte-identical text.
-    """
-    body = f'''\
-
-    def step(pe, stage, budget):
-        spent = 0.0
-        zero_streak = 0
-        if not stage.started:
-            stage.first_request()
-        if stage.done:
-            return spent
-        send = stage.gen.send
-        req = stage.pending
-        res = None
-{_carry(8)}
-{_request_loop(8)}
-
-    return step
-'''
-    return (_header(shape, "stage_source") + "\n" + _INTERP_PREAMBLE
-            + body)
 
 
 # -- DRM step-functions ------------------------------------------------------
@@ -612,7 +269,7 @@ def _drm_access(indent: int, addrs) -> list:
     lines = [f"{pad}worst = 0.0"]
     for addr in addrs:
         lines += [
-            *_l1_hit(indent, addr, hits="hits"),
+            *_l1_hit(indent, addr),
             f"{pad}    lat = l1_lat",
             f"{pad}else:",
             f"{pad}    lat = l1_access({addr})",
@@ -709,16 +366,15 @@ def _emit_drm_deref(shape: DrmShape) -> str:
         *operands,
         *_drm_gate(12, shape.credited_out),
         *_drm_access(12, [f"a{s}" for s in slots]),
-        *_queue_deq(12, "in", "in_words", shape.credited_in),
-        *_queue_enq(12, "out", result, "False", "out_words",
-                    shape.credited_out, reuse=True),
+        *_queue_deq(12, "in", shape.credited_in),
+        *_queue_enq(12, "out", result, shape.credited_out, reuse=True),
         "            spent += cost",
         _drm_flush(8),
         "",
         "    return step",
         "",
     ])
-    return _header(shape, "drm_source") + "\n" + _DRM_PREAMBLE + body
+    return _header(shape) + "\n" + _DRM_PREAMBLE + body
 
 
 def _emit_drm_scan(shape: DrmShape) -> str:
@@ -744,8 +400,7 @@ def _emit_drm_scan(shape: DrmShape) -> str:
         *_drm_gate(16, shape.credited_out),
         *_drm_access(16, ["sa"]),
         *_region_read(16, 0, "sa", "v0"),
-        *_queue_enq(16, "out", "v0", "False", "out_words",
-                    shape.credited_out),
+        *_queue_enq(16, "out", "v0", shape.credited_out),
         "                sa += s_eb",
         "                if sa >= s_end:",
         "                    sa = None",
@@ -774,11 +429,13 @@ def _emit_drm_scan(shape: DrmShape) -> str:
         "    return step",
         "",
     ])
-    return _header(shape, "drm_source") + "\n" + _DRM_PREAMBLE + body
+    return _header(shape) + "\n" + _DRM_PREAMBLE + body
 
 
 def drm_source(shape: DrmShape) -> str:
-    """Emit the DRM step-function source for ``shape`` (pure and
-    deterministic, like :func:`stage_source`)."""
+    """Emit the DRM step-function source for ``shape``.
+
+    Pure and deterministic: equal shapes produce byte-identical text.
+    """
     emit = _emit_drm_deref if shape.mode == "deref" else _emit_drm_scan
     return emit(shape)

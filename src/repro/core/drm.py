@@ -19,21 +19,16 @@ Modes (paper Sec. 5.4):
   (``route``), implementing the owner-sharded cross-PE hop of Sec. 5.6.
 * **scanning** — a token gives a ``(start_addr, end_addr)`` range to
   fetch sequentially and enqueue.
-* **strided** — a token gives ``(start_addr, count, stride_bytes)``;
-  the DRM fetches ``count`` elements ``stride_bytes`` apart, traversing
-  arrays of structs. (The paper notes this mode "could be easily added";
-  its benchmarks did not need it, but the mode is implemented here as
-  the suggested extension.)
 
 Control values pass through DRMs in order; a routing DRM broadcasts each
 control value to every possible destination so iteration boundaries
 reach all consumers (Sec. 5.5).
 
 Because a DRM's configuration is fixed at initialization, the fast
-engine runs each dereferencing or scanning DRM as a step-function
-generated for its shape (:mod:`repro.codegen`); :meth:`DRM.run`, the
-interpreted ``_step_*`` ladder below, is what the naive engine runs and
-the oracle the generated code must match bit for bit.
+engine runs a DRM as a step-function generated for its shape
+(:mod:`repro.codegen`); :meth:`DRM.run`, the interpreted ``_step_*``
+ladder below, is what the naive engine runs and the oracle the
+generated code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ class DRMSpec:
     payload: bool = False                 # tokens carry a tag-along payload
 
     def __post_init__(self):
-        if self.mode not in ("deref", "scan", "strided"):
+        if self.mode not in ("deref", "scan"):
             raise ValueError(f"DRM {self.name!r}: unknown mode {self.mode!r}")
         if (self.out_queue is None) == (self.route is None):
             raise ValueError(
@@ -99,13 +94,11 @@ class DRM:
         self._target_queues = tuple(out_queues[name]
                                     for name in self._targets())
         self._inv_issue = 1.0 / issue_width
-        # Scanning/strided-mode cursor (persists across quanta and
-        # stage switches).
+        # Scanning-mode cursor (persists across quanta and stage
+        # switches).
         self._scan_addr: Optional[int] = None
         self._scan_end: int = 0
         self._scan_elem_bytes: int = 8
-        self._scan_stride: int = 8
-        self._scan_remaining: int = 0
         # Statistics.
         self.loads = 0
         self.miss_stall_cycles = 0.0
@@ -153,15 +146,9 @@ class DRM:
             return None
         cost = self._access_cost((self._scan_addr,))
         out.enq(self.memmap.read(self._scan_addr), producer=self.producer_key)
-        if self._mode == "strided":
-            self._scan_addr += self._scan_stride
-            self._scan_remaining -= 1
-            if self._scan_remaining <= 0:
-                self._scan_addr = None
-        else:
-            self._scan_addr += self._scan_elem_bytes
-            if self._scan_addr >= self._scan_end:
-                self._scan_addr = None
+        self._scan_addr += self._scan_elem_bytes
+        if self._scan_addr >= self._scan_end:
+            self._scan_addr = None
         return cost
 
     def _step_control(self, token) -> Optional[float]:
@@ -213,7 +200,7 @@ class DRM:
         """Whether :meth:`run` would perform at least one step right now.
 
         Side-effect free: replays ``run``'s first-step decision (scan
-        cursor, control broadcast, scan/strided setup, or a routed
+        cursor, control broadcast, scan setup, or a routed
         dereference) against the current queue state without touching
         caches or statistics. The fast engine's quiescence check uses
         this to prove a quantum would be a no-op for this DRM.
@@ -228,7 +215,7 @@ class DRM:
             return all(q.can_enq(self.producer_key, is_control=True)
                        for q in self._target_queues)
         if self._mode != "deref":
-            return True  # scan/strided cursor setup always costs one cycle
+            return True  # scan cursor setup always costs one cycle
         _, payload, loaded = self._operands(token.value)
         return self._output(loaded, payload).can_enq(self.producer_key)
 
@@ -252,7 +239,7 @@ class DRM:
                     cost = self._step_control(token)
                 elif self._mode == "deref":
                     cost = self._step_deref(token)
-                elif self._mode == "scan":
+                else:  # scan
                     start, end = token.value
                     in_q.deq()
                     self._scan_addr = start if start < end else None
@@ -260,13 +247,6 @@ class DRM:
                     if start < end:
                         self._scan_elem_bytes = (
                             self.memmap.elem_bytes_at(start))
-                    cost = 1.0
-                else:  # strided
-                    start, count, stride = token.value
-                    in_q.deq()
-                    self._scan_addr = start if count > 0 else None
-                    self._scan_remaining = int(count)
-                    self._scan_stride = int(stride)
                     cost = 1.0
             if cost is None:  # blocked on a full output queue
                 if (self.probe is not None

@@ -146,7 +146,7 @@ class ProcessingElement:
 
     def _satisfiable(self, stage: StageInstance, request: tuple) -> bool:
         kind = request[0]
-        if kind == "deq" or kind == "peek":
+        if kind == "deq":
             queue = self._qcache.get(request[1])
             if queue is None:
                 queue = self._queue(request[1])
@@ -198,10 +198,10 @@ class ProcessingElement:
         if request is None:
             return "no pending request"
         kind = request[0]
-        if kind in ("deq", "peek"):
+        if kind == "deq":
             queue = self.resolve_queue(request[1])
             if not queue.can_deq():
-                return f"blocked on {kind} {request[1]!r} (empty)"
+                return f"blocked on deq {request[1]!r} (empty)"
         elif kind == "enq":
             queue = self.resolve_queue(request[1])
             if not queue.can_enq(stage.ctx.producer_key, request[3]):
@@ -281,11 +281,6 @@ class ProcessingElement:
             counters["fabric_ops"] = (counters.get("fabric_ops", 0.0)
                                       + stage.mapping.n_compute_ops)
             return token, cost
-        if kind == "peek":
-            queue = self._queue(request[1])
-            if not queue._tokens:
-                return None
-            return queue.peek(), 0.0
         if kind == "cycles":
             cost = float(request[1])
             speed = stage.speed
@@ -340,8 +335,7 @@ class ProcessingElement:
             kind = stage.pending[0]
             if kind == "enq" and not self._satisfiable(stage, stage.pending):
                 return "stall_queue_full"
-            if kind in ("deq", "peek") and not self._satisfiable(
-                    stage, stage.pending):
+            if kind == "deq" and not self._satisfiable(stage, stage.pending):
                 if not self._queue(stage.pending[1]).control_only:
                     data_starved = True
         return "stall_queue_empty" if data_starved else "idle"
@@ -367,8 +361,7 @@ class ProcessingElement:
             if kind == "enq":
                 if not self._satisfiable(stage, request):
                     return "stall_queue_full", request[1]
-            elif kind in ("deq", "peek") and not self._satisfiable(
-                    stage, request):
+            elif kind == "deq" and not self._satisfiable(stage, request):
                 if not self._queue(request[1]).control_only:
                     if starved is None:
                         starved = request[1]
@@ -491,8 +484,9 @@ class ProcessingElement:
             if step is None:
                 used = self._execute(current, remaining)
             else:
-                # A generated step-function (repro.codegen) replays
-                # _execute's loop with the request protocol inlined.
+                # The fast engine's request loop (repro.codegen.interp)
+                # replays _execute's loop with the request protocol
+                # inlined.
                 used = step(self, current, remaining)
             remaining -= used
             self.now += used

@@ -10,7 +10,6 @@ Request protocol (tuples yielded by the coroutine):
 
 * ``("deq", queue_name)`` — dequeue one token; blocks while empty.
 * ``("try_deq", queue_name)`` — dequeue if available, else ``None``.
-* ``("peek", queue_name)`` — inspect head token; blocks while empty.
 * ``("enq", queue_name, value, is_control)`` — enqueue; blocks while
   full (or out of credits on a multi-producer queue).
 * ``("load", addr)`` — coupled load: L1 hit latency is hidden in the
@@ -87,10 +86,6 @@ class StageContext:
         token = yield ("try_deq", queue)
         return token
 
-    def peek(self, queue: str):
-        token = yield ("peek", queue)
-        return token
-
     def enq(self, queue: str, value: Any, is_control: bool = False):
         yield ("enq", queue, value, is_control)
 
@@ -124,8 +119,9 @@ class StageInstance:
     # queue-I/O and explicit compute costs. The 1.0 default takes the
     # unscaled code paths so ordinary runs stay bit-identical.
     speed: float = 1.0
-    # The generated interp step-function that replaces PE._execute on
-    # the fast engine (repro.codegen.runtime.bind_system), called as
+    # The request loop that replaces PE._execute on the fast engine
+    # (repro.codegen.interp.make_interp_step, bound by
+    # repro.codegen.runtime.bind_system), called as
     # step_fn(pe, stage, budget); None on the naive engine.
     step_fn: Optional[Callable[[Any, "StageInstance", float], float]] = (
         field(default=None, repr=False))

@@ -369,13 +369,14 @@ class System:
         ``engine`` selects the simulation loop: ``"fast"`` (default)
         bulk-charges blocked spans, jumps quiescent systems — past a
         certified-idle control core — to their deadlock/timeout
-        horizon, and runs every stage and DRM as a generated
-        step-function (:mod:`repro.codegen`); ``"naive"`` ticks every
-        cycle and interprets: ``PE._execute`` over each stage
-        coroutine, ``DRM.run`` for each DRM.
+        horizon, and runs every stage through the inlined request loop
+        and every DRM as a generated step-function
+        (:mod:`repro.codegen`); ``"naive"`` ticks every cycle and
+        interprets: ``PE._execute`` over each stage coroutine,
+        ``DRM.run`` for each DRM.
 
         ``codegen`` is accepted and selects nothing: every fast-engine
-        stage already runs the generated request loop. It goes once the
+        stage already runs the inlined request loop. It goes once the
         repository benchmark (perfbench/) stops passing it.
 
         Both engines produce identical cycle counts, counters, CPI

@@ -186,11 +186,6 @@ class Queue:
     def can_deq(self) -> bool:
         return bool(self._tokens)
 
-    def peek(self) -> Token:
-        if not self._tokens:
-            raise QueueEmptyError(f"queue {self.name!r} empty")
-        return self._tokens[0]
-
     def deq(self) -> Token:
         if not self._tokens:
             raise QueueEmptyError(f"queue {self.name!r} empty")

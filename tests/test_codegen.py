@@ -2,33 +2,37 @@
 
 Locks the properties of :mod:`repro.codegen`:
 
-* source generation is **deterministic** — the interp stage shape and
-  every DRM shape emit byte-identical Python, so a shape can key the
-  memo of compiled step-functions;
-* a warm run performs **zero source generation and placement**
-  (emission counter plus raising stubs prove it).
+* source generation is **deterministic** — every DRM shape emits
+  byte-identical Python, so a shape can key the memo of compiled
+  step-functions;
+* binding a stage generates no source: every stage shares the one
+  hand-written request loop of :func:`make_interp_step`;
+* a cold run generates each DRM shape once, and a warm run performs
+  **zero source generation and placement** (emission counter plus
+  raising stubs prove it).
 
-The generated code's behaviour is checked call by call against its
+The step-functions' behaviour is checked call by call against their
 oracles in tests/test_interp_codegen.py and tests/test_drm_codegen.py.
 """
 
+import types
+
 import pytest
 
-from repro.codegen import (INTERP, DrmShape, drm_source, emitted_count,
-                           source_for, stage_source)
+from repro.codegen import DrmShape, drm_source, emitted_count
+from repro.codegen.interp import make_interp_step
 from repro.codegen.runtime import _factory_for
 from repro.harness import prepare_input, run_experiment
 
-#: The interp stage shape and a spread of DRM shapes.
-SHAPES = (INTERP, DrmShape("scan"), DrmShape("deref"),
+#: A spread of DRM shapes.
+SHAPES = (DrmShape("scan"), DrmShape("deref"),
           DrmShape("deref", width=3, payload=True),
           DrmShape("deref", payload=True, routed=True, credited_out=True),
           DrmShape("scan", credited_out=True, credited_in=True))
 
-
-def _emit(shape) -> str:
-    return (drm_source if isinstance(shape, DrmShape) else stage_source)(
-        shape)
+#: The code object of the step-function make_interp_step returns.
+[STEP_CODE] = [const for const in make_interp_step.__code__.co_consts
+               if isinstance(const, types.CodeType)]
 
 
 @pytest.fixture(scope="module")
@@ -44,18 +48,19 @@ class TestDeterminism:
     def test_same_shape_emits_identical_source(self):
         for shape in SHAPES:
             again = type(shape)(**vars(shape))
-            assert _emit(shape) == _emit(again)
+            assert drm_source(shape) == drm_source(again)
             assert shape == again and hash(shape) == hash(again)
 
     def test_distinct_shapes_distinct_sources(self):
         assert len({shape.name for shape in SHAPES}) == len(SHAPES)
-        assert len({_emit(shape) for shape in SHAPES}) == len(SHAPES)
+        assert len({drm_source(shape) for shape in SHAPES}) == len(SHAPES)
         for shape in SHAPES:
-            assert f"# shape: {shape.name}\n" in _emit(shape)
+            assert f"# shape: {shape.name}\n" in drm_source(shape)
 
     def test_shards_share_shapes(self, bfs_prepared, monkeypatch):
-        """Every stage of every shard binds the one interp factory, so a
-        16-PE system compiles one stage step-function body."""
+        """Every stage of every shard binds a closure of the one
+        hand-written request loop, so a 16-PE system shares one stage
+        code object and generates no stage source."""
         from repro.core import System
         systems = []
         real_run = System.run
@@ -69,13 +74,12 @@ class TestDeterminism:
         [system] = systems
         codes = {stage.step_fn.__code__
                  for pe in system.pes for stage in pe.stages}
-        assert len(codes) == 1
-        assert codes.pop().co_filename == "<repro.codegen:interp>"
+        assert codes == {STEP_CODE}
 
     def test_generated_source_compiles(self):
         for shape in SHAPES:
             namespace: dict = {}
-            exec(compile(_emit(shape), "<test>", "exec"), namespace)
+            exec(compile(drm_source(shape), "<test>", "exec"), namespace)
             assert callable(namespace["make_step"]), shape.name
 
 
@@ -88,24 +92,31 @@ class TestCaching:
         """A miss generates, compiles and stores one factory per shape;
         a hit returns it without generating."""
         monkeypatch.setattr("repro.codegen.runtime._FACTORY", {})
+        shape = DrmShape("scan")
         before = emitted_count()
-        first = _factory_for(INTERP)
+        first = _factory_for(shape)
         assert emitted_count() == before + 1
-        assert _factory_for(INTERP) is first
+        assert _factory_for(shape) is first
         assert emitted_count() == before + 1  # no second generation
-        assert source_for(INTERP) == stage_source(INTERP)
-        assert emitted_count() == before + 1  # source_for is not counted
+        drm_source(shape)
+        assert emitted_count() == before + 1  # drm_source is not counted
 
     def test_warm_bind_generates_nothing(self, bfs_prepared, monkeypatch):
-        """After one run, a repeat run in the same process must neither
-        place a stage nor emit source, for stages or DRMs: the raising
-        stubs prove neither the mapping memo nor the compiled-code memo
-        falls through."""
+        """A cold run generates each distinct DRM shape it binds once (a
+        fifer bfs run binds four), and no stage source. A repeat run in
+        the same process must neither place a stage nor emit source:
+        the raising stubs prove neither the mapping memo nor the
+        compiled-code memo falls through."""
+        factories: dict = {}
+        monkeypatch.setattr("repro.codegen.runtime._FACTORY", factories)
+        before = emitted_count()
         first = run_experiment("bfs", "Hu", "fifer", prepared=bfs_prepared)
+        assert len(factories) == 4
+        assert emitted_count() == before + len(factories)
+
         def boom(*_args, **_kwargs):
             raise AssertionError("warm run placed or generated")
         monkeypatch.setattr("repro.cgra.mapper.map_dfg", boom)
-        monkeypatch.setattr("repro.codegen.runtime.stage_source", boom)
         monkeypatch.setattr("repro.codegen.runtime.drm_source", boom)
         before = emitted_count()
         again = run_experiment("bfs", "Hu", "fifer", prepared=bfs_prepared)

@@ -192,42 +192,3 @@ class TestTiming:
         with pytest.raises(ValueError):
             DRMSpec("bad", "deref", in_queue="in", out_queue="o",
                     route=lambda v, p: "o")  # both outputs
-
-
-class TestStridedMode:
-    """The Sec. 5.4 extension: strided traversal of arrays of structs."""
-
-    def test_strided_fetch(self):
-        l1, memmap, ref, data = _env()
-        in_q = Queue("in", 64, entry_words=3)
-        out_q = Queue("out", 64)
-        spec = DRMSpec("s", "strided", in_queue="in", out_queue="out")
-        drm = _drm(spec, in_q, {"out": out_q}, l1, memmap)
-        # Every 4th element, starting at index 2 ("field" of a struct).
-        in_q.enq((ref.addr(2), 5, 4 * 8))
-        drm.run(100)
-        assert [out_q.deq().value for _ in range(5)] == [6, 18, 30, 42, 54]
-        assert out_q.is_empty()
-
-    def test_strided_zero_count(self):
-        l1, memmap, ref, data = _env()
-        in_q = Queue("in", 64, entry_words=3)
-        out_q = Queue("out", 64)
-        spec = DRMSpec("s", "strided", in_queue="in", out_queue="out")
-        drm = _drm(spec, in_q, {"out": out_q}, l1, memmap)
-        in_q.enq((ref.addr(0), 0, 8))
-        drm.run(10)
-        assert out_q.is_empty()
-
-    def test_strided_resumes_after_full_output(self):
-        l1, memmap, ref, data = _env()
-        in_q = Queue("in", 64, entry_words=3)
-        out_q = Queue("out", 2)
-        spec = DRMSpec("s", "strided", in_queue="in", out_queue="out")
-        drm = _drm(spec, in_q, {"out": out_q}, l1, memmap)
-        in_q.enq((ref.addr(0), 4, 16))
-        drm.run(100)
-        got = [out_q.deq().value, out_q.deq().value]
-        drm.run(100)
-        got += [out_q.deq().value, out_q.deq().value]
-        assert got == [0, 6, 12, 18]

@@ -312,13 +312,6 @@ def test_budget_runs_out_mid_stream():
     assert generated.snapshot() == ladder.snapshot()
 
 
-def test_strided_keeps_the_ladder():
-    case = dict(spec=_spec("strided", payload=False), in_words=3,
-                out_words=1)
-    world = World(case)
-    assert drm_shape(world.drm) is None
-
-
 def test_unlisted_producer_keeps_the_ladder():
     """A credited target without the DRM among its producers is not
     bound, so the ladder raises can_enq's KeyError as before."""
@@ -339,7 +332,7 @@ def test_mixed_flow_control_targets_keep_the_ladder():
 
 def test_shape_validation():
     with pytest.raises(ValueError, match="unknown DRM codegen mode"):
-        DrmShape("strided")
+        DrmShape("gather")
     with pytest.raises(ValueError, match="width"):
         DrmShape("deref", 0)
     with pytest.raises(ValueError, match="scanning"):

@@ -1,8 +1,8 @@
-"""The generic interp step-function against ``PE._execute``.
+"""The fast engine's stage step-function against ``PE._execute``.
 
 Random request programs run twice from identical state: once through
-the ``interp`` step-function the fast engine binds to every stage
-without a generated body, and once through ``PE._execute`` over
+the request loop of ``make_interp_step``, which the fast engine binds
+to every stage, and once through ``PE._execute`` over
 ``PE._try_perform``, the loop the naive engine keeps as the oracle.
 After every call both worlds must agree bit for bit: the cycles spent,
 each stage's pending request, done flag and SIMD totals, the PE's
@@ -13,12 +13,12 @@ sink attached, the event stream.
 """
 
 import random
+import types
 from types import SimpleNamespace
 
 import pytest
 
-from repro.codegen import INTERP
-from repro.codegen.runtime import _factory_for
+from repro.codegen.interp import make_interp_step
 from repro.config import CacheConfig, MemoryConfig, SystemConfig
 from repro.core.pe import ProcessingElement, StageLivelockError
 from repro.core.stage import StageContext, StageInstance, StageSpec
@@ -126,8 +126,8 @@ def _describe(result):
 
 
 def _program(rng, length):
-    """A request list covering all seven kinds, with control tokens and
-    runs of zero-cost requests (L1-hit loads and stores, peeks)."""
+    """A request list covering all six kinds, with control tokens and
+    runs of zero-cost requests (L1-hit loads and stores)."""
     requests = []
     while len(requests) < length:
         roll = rng.random()
@@ -149,8 +149,6 @@ def _program(rng, length):
             requests += [(kind, addr)] * rng.randrange(3, 12)
         elif roll < 0.76:
             requests.append(("try_deq", rng.choice(("in", "cin", "loop"))))
-        elif roll < 0.83:
-            requests.append(("peek", rng.choice(("in", "cin", "loop"))))
         else:
             requests.append(("cycles", rng.choice((0, 1, 2, 0.5, 3.25))))
     return requests
@@ -200,7 +198,7 @@ def _play(world, actions, run):
 
 
 def _bind(world):
-    steps = {id(stage): _factory_for(INTERP)(world.pe, stage)
+    steps = {id(stage): make_interp_step(world.pe, stage)
              for stage in world.stages}
     return lambda w, stage, budget: steps[id(stage)](w.pe, stage, budget)
 
@@ -284,9 +282,8 @@ def test_scripts_reach_every_path():
         credit_stalls += len(sink.events)
         finished += sum(stage.done for stage in world.stages)
         assert world.pe.counters["stall_mem"] > 0
-    assert kinds == {"deq", "enq", "load", "store", "try_deq", "peek",
-                     "cycles"}
-    assert {"deq", "peek", "full", "credits", "budget"} <= suspended
+    assert kinds == {"deq", "enq", "load", "store", "try_deq", "cycles"}
+    assert {"deq", "full", "credits", "budget"} <= suspended
     assert credit_stalls and finished
 
 
@@ -354,12 +351,12 @@ def _fingerprint(raw) -> str:
 
 
 def test_fast_engine_binds_interp_to_fallback_stages(monkeypatch):
-    """On the fast engine every stage runs the interp step-function, for
-    a graph app as for spmm, and the ``codegen`` keyword of System.run
-    and run_experiment selects nothing: with it on or off, no
-    ``codegen_*`` engine stat, and the same cycles, counters and cache
-    stats as each other and as the naive engine. A naive run on a
-    System the fast engine ran drops the step-functions."""
+    """On the fast engine every stage runs a closure of the one request
+    loop, for a graph app as for spmm, and the ``codegen`` keyword of
+    System.run and run_experiment selects nothing: with it on or off,
+    no ``codegen_*`` engine stat, and the same cycles, counters and
+    cache stats as each other and as the naive engine. A naive run on
+    a System the fast engine ran drops the step-functions."""
     from repro.core import System
     from repro.harness import (build_cgra_program, prepare_input,
                                resolve_config, run_experiment)
@@ -387,10 +384,11 @@ def test_fast_engine_binds_interp_to_fallback_stages(monkeypatch):
             runs.append(run_experiment(app, code, "fifer", prepared=prepared,
                                        codegen=codegen).raw)
         assert len(systems) == 4
+        [step_code] = [const for const in make_interp_step.__code__.co_consts
+                       if isinstance(const, types.CodeType)]
         for system in systems:
-            assert all(s.step_fn.__code__.co_filename
-                       == "<repro.codegen:interp>"
-                       for pe in system.pes for s in pe.stages), app
+            assert {s.step_fn.__code__ for pe in system.pes
+                    for s in pe.stages} == {step_code}, app
         runs.append(fresh().run(engine="naive"))
         systems[0].run(engine="naive")
         assert all(s.step_fn is None

@@ -7,9 +7,10 @@ and drops the result (or the exception). Then:
 
 * weak references to the ``System``, a PE, a stage, a DRM, a queue, an
   L1 and the workload must be dead;
-* a collection must find none of those objects' kinds, and no
-  generated step-function (``<repro.codegen:…>``) or compiled kernel
-  expression (``<kernel …>``);
+* a collection must find none of those objects' kinds, no
+  step-function (a DRM's generated one, ``<repro.codegen:…>``, or a
+  stage's, defined in ``repro/codegen/interp.py``) and no compiled
+  kernel expression (``<kernel …>``);
 * everything it does find must hang off a known leftover, counted by
   kind: DFG nodes joined by a register back-edge, telemetry objects
   the caller owns, and the standard library JSON encoder's closures.
@@ -23,6 +24,7 @@ import weakref
 
 import pytest
 
+import repro.codegen.interp as codegen_interp
 import repro.harness.run as harness_run
 from repro.core import System
 from repro.core.system import SimulationTimeout
@@ -129,11 +131,12 @@ def _check(record, run, allowed=("back-edge",)) -> dict:
     garbage = _garbage_of(run, record["refs"])
     built_types = tuple(record["types"])
     assert not [obj for obj in garbage if isinstance(obj, built_types)]
-    generated = [obj.__code__.co_filename for obj in garbage
-                 if isinstance(obj, types.FunctionType)
-                 and obj.__code__.co_filename.startswith(
-                     ("<repro.codegen:", "<kernel "))]
-    assert not generated, generated
+    filenames = [obj.__code__.co_filename for obj in garbage
+                 if isinstance(obj, types.FunctionType)]
+    leaked = [name for name in filenames
+              if name.startswith(("<repro.codegen:", "<kernel "))
+              or name == codegen_interp.__file__]
+    assert not leaked, leaked
     kinds = _leftovers(garbage)
     roots = [obj for kind in allowed for obj in kinds[kind]]
     unexplained = _unexplained(garbage, roots)

@@ -42,14 +42,6 @@ class TestQueueBasics:
         q = Queue("q", 4)
         with pytest.raises(QueueEmptyError):
             q.deq()
-        with pytest.raises(QueueEmptyError):
-            q.peek()
-
-    def test_peek_does_not_consume(self):
-        q = Queue("q", 4)
-        q.enq(7)
-        assert q.peek().value == 7
-        assert len(q) == 1
 
     def test_capacity_below_entry_rejected(self):
         with pytest.raises(ValueError):

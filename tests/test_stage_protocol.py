@@ -42,8 +42,6 @@ class TestStageContext:
         assert next(gen) == ("cycles", 5)
         gen = ctx.try_deq("q")
         assert next(gen) == ("try_deq", "q")
-        gen = ctx.peek("q")
-        assert next(gen) == ("peek", "q")
 
 
 class TestStageInstance:
@@ -118,24 +116,6 @@ class TestRequestBehaviors:
         self._run((producer, consumer),
                   [QueueSpec("p.q"), QueueSpec("p.side")])
         assert observations == [None, "x"]
-
-    def test_peek_blocks_until_available_without_consuming(self):
-        observations = []
-
-        def producer(ctx):
-            yield from ctx.enq("p.q", 41)
-            yield from ctx.enq("p.q", STOP_VALUE, is_control=True)
-
-        def consumer(ctx):
-            token = yield from ctx.peek("p.q")
-            observations.append(("peek", token.value))
-            token = yield from ctx.deq("p.q")
-            observations.append(("deq", token.value))
-            token = yield from ctx.deq("p.q")
-            assert token.is_control
-
-        self._run((producer, consumer), [QueueSpec("p.q")])
-        assert observations == [("peek", 41), ("deq", 41)]
 
     def test_unknown_request_rejected(self):
         def producer(ctx):
