@@ -3,7 +3,8 @@
 Mapping a stage's DFG onto the fabric is deterministic and pure, so
 :func:`repro.cgra.map_dfg_cached` keeps each mapping, keyed by content
 (:func:`repro.cache.content.mapping_key`), for the life of the process:
-a sweep or benchmark maps each stage once per worker. Generated
+a build maps each stage once however many shards replicate it, and a
+sweep or benchmark maps it once per worker. Generated
 step-functions have their own memo in :mod:`repro.codegen.runtime`.
 
 Nothing is kept on disk: reading a mapping back from a file cost about

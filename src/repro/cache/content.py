@@ -5,9 +5,9 @@
   init-function sources), so editing a kernel in any observable way
   yields a new fingerprint (``repro advise --apply`` compares the
   hand-marked and auto-split kernels by it);
-* :func:`mapping_key` — the stage DFG's assembly text (a faithful,
-  round-trippable serialization — see ``repro.ir.asmparse``) plus the
-  fabric geometry, keying the in-process memo of fabric mappings.
+* :func:`mapping_key` — what the mapper reads of a stage DFG (each
+  node's id, op kind and operand ids) plus the fabric geometry and the
+  replication cap, keying the in-process memo of fabric mappings.
 
 All digests are sha256 hex strings.
 """
@@ -119,12 +119,17 @@ def kernel_fingerprint(kernel) -> str:
 
 
 def mapping_key(dfg, fabric, max_replication: Optional[int]) -> tuple:
-    """Memo key of one fabric mapping.
+    """Memo key of one fabric mapping: exactly what
+    :func:`repro.cgra.map_dfg` reads.
 
-    The DFG's assembly text is a faithful serialization (the asm
-    round-trip suite asserts it parses back to an equivalent graph),
-    so identical asm ⇒ identical mapping inputs; the fabric geometry
-    (a frozen :class:`~repro.cgra.fabric.FabricSpec`) and the
+    The mapper levelizes and places nodes by their ids, op kinds and
+    operand edges; it reads no queue name, constant or address, and
+    the stage's name only labels the result. So the shards of one
+    stage, which differ in just those, share one key. The fabric
+    geometry (a frozen :class:`~repro.cgra.fabric.FabricSpec`) and the
     replication cap are the only other mapping inputs.
     """
-    return dfg.name, dfg.to_asm(), fabric, max_replication
+    graph = tuple((node.node_id, node.op.kind,
+                   tuple(operand.node_id for operand in node.operands))
+                  for node in dfg.nodes)
+    return graph, fabric, max_replication

@@ -15,7 +15,7 @@ information produced by CGRA-ME").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cgra.fabric import FabricSpec
 from repro.ir.dfg import DataflowGraph, Node
@@ -93,12 +93,13 @@ def map_dfg_cached(dfg: DataflowGraph, fabric: FabricSpec,
                    max_replication: int | None = None) -> Mapping:
     """Memoized :func:`map_dfg`: a repeat mapping costs its key.
 
-    The key is the DFG's assembly text (a faithful serialization —
-    the asm round-trip suite asserts it) plus the fabric geometry and
-    the replication cap, so any change to the stage's datapath or the
-    target fabric misses and re-maps. Identical content returns the
-    memoized :class:`Mapping` (frozen, safely shared) for the rest of
-    the process, counted under the ``mapping.*`` counters of
+    The key (:func:`repro.cache.mapping_key`) is what the mapper reads:
+    the DFG's nodes, op kinds and operand wiring, the fabric geometry
+    and the replication cap. Any change to the stage's datapath or the
+    target fabric misses and re-maps; the shards of one stage, which
+    differ only in queue names and constants, map once. A hit returns
+    the memoized :class:`Mapping` (frozen, safely shared) under the
+    stage's own name, counted under the ``mapping.*`` counters of
     :class:`repro.cache.ArtifactCache`.
     """
     from repro.cache import get_artifact_cache, mapping_key
@@ -108,6 +109,8 @@ def map_dfg_cached(dfg: DataflowGraph, fabric: FabricSpec,
     if mapping is None:
         mapping = map_dfg(dfg, fabric, max_replication)
         cache.put("mapping", key, mapping)
+    elif mapping.stage_name != dfg.name:
+        mapping = replace(mapping, stage_name=dfg.name)
     return mapping
 
 

@@ -152,16 +152,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "default) or naive (per-cycle reference)")
 
 
-def _check_input(verb: str, app: str, code: str) -> None:
-    """Exit 2 through :func:`_fail` for an input code ``app`` lacks."""
+def _check_input(verb: str, app: str, code: str,
+                 scale: float | None) -> None:
+    """Exit 2 through :func:`_fail` for an input code ``app`` lacks, or
+    a scale at which the input would have no vertex; called before any
+    input is generated."""
     try:
-        check_input(app, code)
+        check_input(app, code, scale)
     except ValueError as exc:
         _fail(verb, str(exc))
 
 
 def cmd_run(args) -> int:
-    _check_input("run", args.app, args.input)
+    _check_input("run", args.app, args.input, args.scale)
     result = run_experiment(args.app, args.input, args.system,
                             variant=args.variant, scale=args.scale,
                             seed=args.seed, engine=args.engine,
@@ -192,7 +195,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     from repro.harness.report import bar_chart
     from repro.harness.sweep import SweepPoint, run_sweep
-    _check_input("compare", args.app, args.input)
+    _check_input("compare", args.app, args.input, args.scale)
     points = [SweepPoint(args.app, args.input, system, scale=args.scale,
                          seed=args.seed, engine=args.engine)
               for system in SYSTEMS]
@@ -205,8 +208,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_inputs(args) -> int:
-    from repro.datasets.graphs import TABLE3_GRAPHS
-    from repro.datasets.matrices import TABLE4_MATRICES
+    from repro.datasets.tables import TABLE3_GRAPHS, TABLE4_MATRICES
     rows = []
     for app, codes in APP_INPUTS.items():
         for code in codes:
@@ -273,7 +275,7 @@ def _event_trace(system, args, out):
 
 
 def cmd_trace(args) -> int:
-    _check_input("trace", args.app, args.input)
+    _check_input("trace", args.app, args.input, args.scale)
     system = _traceable_system(args)
     out = _open_out("trace", args.out)
     try:
@@ -379,9 +381,9 @@ def cmd_lint(args) -> int:
             _fail("lint", "lint all takes no INPUT argument")
         targets = [(app, APP_INPUTS[app][0]) for app in sorted(APP_INPUTS)]
     else:
-        code = args.input or APP_INPUTS[args.app][0]
-        _check_input("lint", args.app, code)
-        targets = [(args.app, code)]
+        targets = [(args.app, args.input or APP_INPUTS[args.app][0])]
+    for app, code in targets:
+        _check_input("lint", app, code, args.scale)
     reports = []
     for app, code in targets:
         scale = args.scale
@@ -480,7 +482,7 @@ def cmd_advise(args) -> int:
 
 def cmd_stats(args) -> int:
     from repro.stats.manifest import build_manifest
-    _check_input("stats", args.app, args.input)
+    _check_input("stats", args.app, args.input, args.scale)
     if args.manifest_dir is not None:
         # Fail before simulating, not after the run.
         try:
@@ -528,7 +530,7 @@ def cmd_stats(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.profiling import parse_whatif, predict_speedup
-    _check_input("profile", args.app, args.input)
+    _check_input("profile", args.app, args.input, args.scale)
     try:
         whatifs = [parse_whatif(spec) for spec in args.what_if]
     except ValueError as exc:

@@ -13,10 +13,11 @@ Internet graph         as-Skitter (In)            1.7 M     22 M   12.9
 Road network           USA-road-d-USA (Rd)        24 M      58 M   2.4
 ====================== ========================== ========= ====== =========
 
-``TABLE3_GRAPHS`` maps each to a scaled synthetic generator preserving
-the property that drives performance: average degree and degree skew
-(collaboration and internet graphs are heavy-tailed; meshes and road
-networks are near-regular with large diameter).
+``TABLE3_GRAPHS`` (:mod:`repro.datasets.tables`) maps each to a scaled
+synthetic generator preserving the property that drives performance:
+average degree and degree skew (collaboration and internet graphs are
+heavy-tailed; meshes and road networks are near-regular with large
+diameter).
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.datasets.tables import TABLE3_GRAPHS, graph_size
 
 
 @dataclass(frozen=True)
@@ -147,36 +150,19 @@ def grid_graph(width: int, height: int, keep: float = 1.0,
     return _symmetrize(n, edges[:, 0], edges[:, 1])
 
 
-# Scaled synthetic stand-ins for Table 3. Keys are the paper's two-letter
-# input codes; each entry is (generator_name, kwargs, paper_stats).
-TABLE3_GRAPHS = {
-    "Hu": dict(kind="power_law", n=3_000, avg_degree=6.4, exponent=2.2,
-               paper="coAuthorsDBLP: 299K vertices, 1.9M edges, deg 6.4"),
-    "Dy": dict(kind="uniform", n=8_000, avg_degree=3.0,
-               paper="hugetrace-00000: 4.6M vertices, 14M edges, deg 3.0"),
-    "Ci": dict(kind="uniform", n=6_000, avg_degree=5.6,
-               paper="Freescale1: 3.4M vertices, 19M edges, deg 5.6"),
-    "In": dict(kind="power_law", n=4_000, avg_degree=12.9, exponent=1.9,
-               paper="as-Skitter: 1.7M vertices, 22M edges, deg 12.9"),
-    "Rd": dict(kind="grid", width=100, height=100, keep=0.62,
-               paper="USA-road-d: 24M vertices, 58M edges, deg 2.4"),
-}
-
-
 def make_graph(code: str, scale: float = 1.0, seed: int = 1) -> CSRGraph:
-    """Instantiate a Table 3 stand-in; ``scale`` multiplies vertex count."""
-    spec = dict(TABLE3_GRAPHS[code])
-    kind = spec.pop("kind")
-    spec.pop("paper")
+    """Instantiate a Table 3 stand-in; ``scale`` multiplies vertex count.
+
+    Raises :class:`ValueError` naming ``scale`` when the graph would have
+    no vertex (:func:`repro.datasets.tables.graph_size`)."""
+    spec = TABLE3_GRAPHS[code]
+    kind = spec["kind"]
+    size = graph_size(code, scale)
     if kind == "power_law":
-        return power_law_graph(int(spec["n"] * scale), spec["avg_degree"],
+        return power_law_graph(size[0], spec["avg_degree"],
                                spec["exponent"], seed=seed)
     if kind == "uniform":
-        return uniform_random_graph(int(spec["n"] * scale),
-                                    spec["avg_degree"], seed=seed)
+        return uniform_random_graph(size[0], spec["avg_degree"], seed=seed)
     if kind == "grid":
-        side_scale = scale ** 0.5
-        return grid_graph(int(spec["width"] * side_scale),
-                          int(spec["height"] * side_scale),
-                          keep=spec["keep"], seed=seed)
+        return grid_graph(*size, keep=spec["keep"], seed=seed)
     raise ValueError(f"unknown generator kind {kind!r}")

@@ -14,10 +14,10 @@ Fluid dynamics     rma10           46,835    49.7
 Structural         pwtk            217,918   52.9
 ================== =============== ========= ============
 
-``TABLE4_MATRICES`` provides scaled synthetic stand-ins preserving the
-average non-zeros per row — the statistic the paper's analysis keys on
-(sparser rows cause faster merge-intersections and more frequent
-reconfigurations).
+``TABLE4_MATRICES`` (:mod:`repro.datasets.tables`) provides scaled
+synthetic stand-ins preserving the average non-zeros per row — the
+statistic the paper's analysis keys on (sparser rows cause faster
+merge-intersections and more frequent reconfigurations).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.datasets.tables import TABLE4_MATRICES
 
 
 @dataclass(frozen=True)
@@ -107,23 +109,6 @@ def random_sparse_matrix(n: int, avg_nnz_per_row: float,
     cols = rng.integers(0, n, size=nnz, dtype=np.int64)
     vals = rng.uniform(0.5, 1.5, size=nnz)
     return _from_coo(n, rows, cols, vals)
-
-
-# Scaled synthetic stand-ins for Table 4, keyed by the paper's codes.
-TABLE4_MATRICES = {
-    "FS": dict(n=700, avg_nnz_per_row=2.4,
-               paper="p2p-Gnutella31: n=62,586, nnz/row 2.4"),
-    "Gr": dict(n=900, avg_nnz_per_row=8.0,
-               paper="amazon0312: n=400,727, nnz/row 8.0"),
-    "GE": dict(n=500, avg_nnz_per_row=15.6,
-               paper="cage12: n=130,228, nnz/row 15.6"),
-    "EM": dict(n=450, avg_nnz_per_row=16.2,
-               paper="2cubes_sphere: n=101,492, nnz/row 16.2"),
-    "FD": dict(n=300, avg_nnz_per_row=49.7,
-               paper="rma10: n=46,835, nnz/row 49.7"),
-    "St": dict(n=350, avg_nnz_per_row=52.9,
-               paper="pwtk: n=217,918, nnz/row 52.9"),
-}
 
 
 def make_matrix(code: str, scale: float = 1.0, seed: int = 1) -> SparseMatrix:

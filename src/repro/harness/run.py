@@ -18,14 +18,13 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.config import OOOConfig, SystemConfig
 from repro.workloads import get_workload
 
-# Workloads, input generators, the OOO kernels, the energy model and the
-# simulator are imported where an app and a system need them, so that a
-# command loads only what it runs (docs/performance.md, "Cold start").
+# Workloads, input generators, the OOO kernels, the energy model, the
+# simulator and numpy are imported where an app and a system need them,
+# so that a command loads only what it runs (docs/performance.md, "Cold
+# start").
 
 GRAPH_APPS = ("bfs", "cc", "prd", "radii", "sssp")
 SYSTEMS = ("serial", "multicore", "static", "fifer")
@@ -84,17 +83,27 @@ def check_scale_seed(scale: Optional[float] = None,
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def check_input(app: str, code: str) -> None:
-    """Reject an app or input code outside :data:`APP_INPUTS`.
+def check_input(app: str, code: str,
+                scale: Optional[float] = None) -> None:
+    """Reject an app or input code outside :data:`APP_INPUTS`, and a
+    ``scale`` the generators cannot honour: one that is not finite and
+    positive (:func:`check_scale_seed`), or at which a graph input
+    would have no vertex (:func:`repro.datasets.tables.graph_size`).
+    ``None`` skips the scale.
 
-    Raises :class:`ValueError` naming the offending value and the valid
-    choices."""
+    Raises :class:`ValueError` naming the offending value."""
     if app not in APP_INPUTS:
         raise ValueError(f"unknown app {app!r}; choose from "
                          f"{', '.join(sorted(APP_INPUTS))}")
     if code not in APP_INPUTS[app]:
         raise ValueError(f"unknown input {code!r} for {app}; choose from "
                          f"{', '.join(APP_INPUTS[app])}")
+    if scale is None:
+        return
+    check_scale_seed(scale)
+    if app in GRAPH_APPS:
+        from repro.datasets.tables import graph_size
+        graph_size(code, scale)
 
 
 @dataclass
@@ -140,7 +149,8 @@ def prepare_input(app: str, code: str, scale: Optional[float] = None,
     Raises :class:`ValueError` for an app or input code outside
     :data:`APP_INPUTS` (see :func:`check_input`), and naming the field
     for a scale or seed the generators cannot honour (see
-    :func:`check_scale_seed`)."""
+    :func:`check_scale_seed`) or a scale at which a graph input would
+    have no vertex (see :func:`repro.datasets.tables.graph_size`)."""
     check_input(app, code)
     if scale is None:
         scale = default_scale(app, code)
@@ -168,6 +178,7 @@ def prepare_input(app: str, code: str, scale: Optional[float] = None,
         golden = spmm.spmm_reference(matrix, rows, cols)
         return PreparedInput(app, code, (matrix, rows, cols), golden)
     if app == "silo":
+        import numpy as np
         from repro.datasets.btree import BPlusTree
         from repro.datasets.ycsb import zipfian_keys
         keys = np.arange(SILO_RECORDS, dtype=np.int64) * 3 + 1
@@ -285,6 +296,7 @@ def _ooo_kernel(prepared: PreparedInput, n_cores: int):
 
 
 def _check(app: str, result, golden) -> bool:
+    import numpy as np
     if app == "prd":
         n = len(golden)
         return np.allclose(result, golden, atol=2.0 / n, rtol=1e-6)

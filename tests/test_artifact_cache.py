@@ -23,12 +23,25 @@ from repro.cache import (ArtifactCache, callable_fingerprint,
                          configure_artifact_cache, get_artifact_cache,
                          kernel_fingerprint, mapping_key)
 from repro.cgra import FabricSpec, map_dfg, map_dfg_cached
-from repro.config import FabricConfig
+from repro.config import FabricConfig, SystemConfig
+from repro.core import System
 from repro.frontend.kernel import GraphKernel
 from repro.frontend.kernels import bfs_kernel, cc_kernel, sssp_kernel
-from repro.ir import DFGBuilder
+from repro.harness.run import (APP_INPUTS, build_cgra_program,
+                               prepare_input, resolve_config)
+from repro.ir import DFGBuilder, Op, OpKind
+from repro.workloads import WORKLOAD_NAMES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fifer_system(app):
+    """``(program, System)`` of a fifer build of ``app``'s first input."""
+    code = APP_INPUTS[app][0]
+    config = resolve_config(app, SystemConfig())
+    program, _ = build_cgra_program(prepare_input(app, code, scale=0.05),
+                                    config, "fifer", "decoupled")
+    return program, System(config, program, mode="fifer")
 
 
 @pytest.fixture
@@ -117,8 +130,22 @@ class TestFingerprints:
         fabric = _fabric()
         assert (mapping_key(_dfg(), fabric, None)
                 == mapping_key(_dfg(), fabric, None))
+        # The mapper reads no constant, queue name or stage name, so
+        # the shards of one stage share a key ...
+        shard = _dfg(0x2000)
+        shard.name = "enumerate@1"
         assert (mapping_key(_dfg(0x1000), fabric, None)
-                != mapping_key(_dfg(0x2000), fabric, None))
+                == mapping_key(shard, fabric, None))
+        # ... while another op kind or operand edge changes it.
+        other_kind = _dfg()
+        add = next(n for n in other_kind.nodes if n.kind is OpKind.ADD)
+        add.op = Op(OpKind.SUB)
+        rewired = _dfg()
+        lea = next(n for n in rewired.nodes if n.kind is OpKind.LEA)
+        lea.operands = (lea.operands[0], rewired.inputs()[1])
+        for changed in (other_kind, rewired):
+            assert (mapping_key(_dfg(), fabric, None)
+                    != mapping_key(changed, fabric, None))
         small = FabricSpec.from_config(FabricConfig(cols=8))
         assert (mapping_key(_dfg(), fabric, None)
                 != mapping_key(_dfg(), small, None))
@@ -187,3 +214,22 @@ class TestCompileReuse:
         cached = map_dfg_cached(_dfg(), fabric)
         direct = map_dfg(_dfg(), fabric)
         assert cached.render() == direct.render()
+
+    @pytest.mark.parametrize("app", WORKLOAD_NAMES)
+    def test_fifer_build_maps_each_distinct_stage_once(self, app, memo):
+        program, _ = _fifer_system(app)
+        stages = {spec.name.split("@", 1)[0]
+                  for pe in program.pe_programs for spec in pe.stage_specs}
+        assert memo.counters["mapping.miss"] == len(stages)
+
+    @pytest.mark.parametrize("app", WORKLOAD_NAMES)
+    def test_every_shard_mapping_equals_a_fresh_one(self, app, memo):
+        program, system = _fifer_system(app)
+        for pe in program.pe_programs:
+            for spec in pe.stage_specs:
+                caps = [cap for cap in (spec.max_replication,
+                                        system.config.max_simd_replication)
+                        if cap is not None]
+                fresh = map_dfg(spec.dfg, system.fabric,
+                                min(caps, default=None))
+                assert system.mappings[spec.name] == fresh, spec.name

@@ -20,10 +20,29 @@ import pytest
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
+HISTORY = HERE.parent / "benchmarks" / "results" / "history"
 
 #: Packages whose ``__init__`` re-exports through ``repro._lazy``.
 LAZY_PACKAGES = ("repro", "repro.harness", "repro.stats", "repro.analysis",
-                 "repro.profiling")
+                 "repro.profiling", "repro.datasets")
+
+#: The simulator core: it makes no array, so it must not import numpy.
+CORE_PACKAGES = ("repro.core", "repro.codegen", "repro.memory",
+                 "repro.queues", "repro.stats", "repro.cgra", "repro.ir",
+                 "repro.energy", "repro.cache")
+
+#: Commands that generate no input, with their exit status: numpy loads
+#: only where arrays are made, so none of them may load it. ``{history}``
+#: is the committed manifest directory.
+ARRAY_FREE = (
+    ((), None),  # ``import repro.cli`` alone
+    (("inputs",), 0),
+    (("--help",), 0),
+    (("report", "{history}"), 0),
+    (("bench-diff", "{history}", "{history}"), 0),
+    (("run", "bfs", "FS"), 2),                     # an input bfs lacks
+    (("run", "bfs", "Hu", "--scale", "0.0001"), 2),  # a graph of no vertex
+)
 
 #: What ``import repro.cli`` must leave unloaded, whatever the verb.
 NOT_AT_IMPORT = ("repro.core", "repro.frontend", "repro.analysis",
@@ -66,6 +85,27 @@ def loaded_by_command(argv) -> list:
     return _loaded()
 
 
+def exit_and_numpy(argv) -> list:
+    """``[exit status, numpy loaded?]`` after ``import repro.cli`` and,
+    for a non-empty ``argv``, that command."""
+    from repro.cli import main
+    status = None
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+    return [status, "numpy" in sys.modules]
+
+
+def numpy_after_import(packages) -> bool:
+    for package in packages:
+        importlib.import_module(package)
+    return "numpy" in sys.modules
+
+
 def export_problems(package: str, preload: bool) -> list:
     """Check every name of ``package.__all__``: it resolves to the
     object its defining module holds, is no module, and is listed by
@@ -104,6 +144,18 @@ def test_import_cli_loads_no_machinery():
     for package in NOT_AT_IMPORT:
         assert not _under(loaded, package), package
     assert not [m for m in loaded if m.startswith("repro.workloads.")]
+
+
+@pytest.mark.parametrize("argv,status", ARRAY_FREE,
+                         ids=[" ".join(argv) or "import" for argv, _ in
+                              ARRAY_FREE])
+def test_array_free_commands_load_no_numpy(argv, status):
+    argv = [arg.format(history=HISTORY) for arg in argv]
+    assert _fresh(exit_and_numpy, argv) == [status, False]
+
+
+def test_simulator_core_imports_no_numpy():
+    assert _fresh(numpy_after_import, CORE_PACKAGES) is False
 
 
 def test_spmm_run_loads_neither_frontend_nor_analysis():

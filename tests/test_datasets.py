@@ -1,5 +1,7 @@
 """Unit tests for the synthetic dataset generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.datasets import (BPlusTree, CSRGraph,
                             make_graph, make_matrix, power_law_graph,
                             random_sparse_matrix, uniform_random_graph,
                             zipfian_keys)
+from repro.datasets.tables import graph_size
 
 
 class TestGraphGenerators:
@@ -58,6 +61,15 @@ class TestGraphGenerators:
             g = make_graph(code, scale=0.1)
             g.validate()
             assert g.n_vertices > 50
+
+    @pytest.mark.parametrize("code", ("Hu", "Dy", "Rd"))
+    def test_graph_size_is_what_make_graph_builds(self, code):
+        for scale in (0.0005, 0.01, 0.1):
+            vertices = math.prod(graph_size(code, scale))
+            assert make_graph(code, scale=scale).n_vertices == vertices
+        with pytest.raises(ValueError, match=f"scale must give input {code} "
+                                             f"at least one vertex"):
+            make_graph(code, scale=0.00005)
 
     def test_symmetrize_sorts_dedups_and_drops_self_loops(self):
         from repro.datasets.graphs import _symmetrize

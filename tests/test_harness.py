@@ -68,6 +68,28 @@ class TestHarnessPlumbing:
         with pytest.raises(ValueError, match="unknown input"):
             run_experiment(app, code, "serial")
 
+    @pytest.mark.parametrize("app,code,scale", [
+        ("bfs", "Hu", 0.0001),      # power law: int(3000 * scale) == 0
+        ("cc", "In", 0.0002),
+        ("cc", "Dy", 0.0001),       # uniform
+        ("sssp", "Ci", 0.0001),
+        ("cc", "Rd", 0.00009),      # grid: int(100 * scale ** 0.5) == 0
+    ])
+    def test_scale_without_a_vertex_rejected(self, app, code, scale):
+        message = (f"scale must give input {code} at least one vertex, "
+                   f"got {scale}")
+        with pytest.raises(ValueError) as excinfo:
+            prepare_input(app, code, scale=scale)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError, match="at least one vertex"):
+            run_experiment(app, code, "serial", scale=scale)
+
+    @pytest.mark.parametrize("app,code,scale", [("bfs", "Hu", 0.0005),
+                                                ("radii", "Rd", 0.0001)])
+    def test_one_vertex_scale_still_runs(self, app, code, scale):
+        assert prepare_input(app, code, scale=scale).data.n_vertices == 1
+        assert run_experiment(app, code, "fifer", scale=scale).correct
+
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             run_experiment("bfs", "Hu", "tpu")

@@ -215,6 +215,24 @@ class TestCLI:
         (["run", "silo", "Hu"], "unknown input 'Hu' for silo; choose from"),
         (["stats", "spmm", "Hu"], "unknown input 'Hu' for spmm"),
         (["lint", "cc", "YC"], "unknown input 'YC' for cc"),
+        # A scale at which the graph would have no vertex (power law,
+        # uniform, grid), before any input is generated.
+        (["run", "bfs", "Hu", "--scale", "0.0001"],
+         "scale must give input Hu at least one vertex, got 0.0001"),
+        (["run", "cc", "Rd", "--scale", "0.00009"],
+         "scale must give input Rd at least one vertex"),
+        (["run", "radii", "Hu", "--scale", "0.0001", "--system", "serial"],
+         "scale must give input Hu at least one vertex"),
+        (["stats", "cc", "Dy", "--scale", "0.0001"],
+         "scale must give input Dy at least one vertex"),
+        (["lint", "bfs", "Hu", "--scale", "0.0001"],
+         "scale must give input Hu at least one vertex"),
+        (["compare", "bfs", "Dy", "--scale", "0.0001"],
+         "scale must give input Dy at least one vertex"),
+        (["trace", "prd", "Hu", "--scale", "0.0003"],
+         "scale must give input Hu at least one vertex"),
+        (["profile", "cc", "In", "--scale", "0.0002"],
+         "scale must give input In at least one vertex"),
         (["profile", "bfs", "Hu", "--scale", "0.1", "--what-if",
           "nosuch=50"], "choose from memory, reconfig, bfs."),
         (["profile", "bfs", "Hu", "--scale", "0.1", "--top", "-1"],
